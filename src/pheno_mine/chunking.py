@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -19,6 +20,9 @@ GUARDED_ABBREVIATIONS = frozenset(
 
 CHARS_PER_TOKEN = 4
 DEFAULT_CHUNK_BUDGET = 2048
+
+# `\s` matches exactly the characters for which str.isspace() is true.
+_CANDIDATE_BOUNDARY = re.compile(r"[.!?]\s+")
 
 
 @dataclass(frozen=True)
@@ -47,16 +51,7 @@ def _guarded(text: str, start: int, punct: int) -> bool:
     while begin > start and not text[begin - 1].isspace():
         begin -= 1
     token = text[begin : punct + 1].lstrip("(\"'[")
-    if token in GUARDED_ABBREVIATIONS:
-        return True
-    # Decimal guard; with the whitespace rule below this only matters if the
-    # boundary definition is ever relaxed, but it documents the intent.
-    return (
-        punct > 0
-        and text[punct - 1].isdigit()
-        and punct + 1 < len(text)
-        and text[punct + 1].isdigit()
-    )
+    return token in GUARDED_ABBREVIATIONS
 
 
 def segment_sentences(text: str) -> list[str]:
@@ -68,21 +63,16 @@ def segment_sentences(text: str) -> list[str]:
     """
     sentences: list[str] = []
     start = 0
-    i = 0
     n = len(text)
-    while i < n:
-        if text[i] in ".!?" and i + 1 < n and text[i + 1].isspace():
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            if j < n and (text[j].isupper() or text[j].isdigit()) and not _guarded(text, start, i):
-                piece = _normalize_ws(text[start : i + 1])
-                if piece:
-                    sentences.append(piece)
-                start = j
-                i = j
-                continue
-        i += 1
+    # Only a punctuation mark followed by whitespace can end a sentence; the
+    # character and abbreviation checks run at those candidates alone.
+    for match in _CANDIDATE_BOUNDARY.finditer(text):
+        punct, j = match.start(), match.end()
+        if j < n and (text[j].isupper() or text[j].isdigit()) and not _guarded(text, start, punct):
+            piece = _normalize_ws(text[start : punct + 1])
+            if piece:
+                sentences.append(piece)
+            start = j
     tail = _normalize_ws(text[start:])
     if tail:
         sentences.append(tail)
@@ -133,12 +123,16 @@ def pack_chunks(
         raise ParameterError(f"hard limit must be >= 1 token, got {hard_limit}")
     chunks: list[Chunk] = []
     current: list[str] = []
+    # len(" ".join(current)), kept as sentences are added
+    length = 0
 
     def flush():
+        nonlocal length
         if current:
             text = " ".join(current)
             chunks.append(Chunk(note_id, len(chunks), text, estimate_tokens(text)))
             current.clear()
+            length = 0
 
     for sentence in sentences:
         if estimate_tokens(sentence) > budget:
@@ -165,8 +159,9 @@ def pack_chunks(
                     )
                 )
             continue
-        if current and estimate_tokens(" ".join(current + [sentence])) > budget:
+        if current and math.ceil((length + 1 + len(sentence)) / CHARS_PER_TOKEN) > budget:
             flush()
+        length += len(sentence) + (1 if current else 0)
         current.append(sentence)
     flush()
     return chunks

@@ -16,7 +16,7 @@ import click
 from . import baselines as baselines_mod
 from . import cohort as cohort_mod
 from . import extraction, figures, pca, stats
-from .chunking import DEFAULT_CHUNK_BUDGET, chunk_text
+from .chunking import DEFAULT_CHUNK_BUDGET
 from .clustering import (
     ClusteringReport,
     evaluate_clustering,
@@ -75,6 +75,14 @@ def _setting(ctx, key: str, flag_value, default=None):
     if flag_value is not None:
         return flag_value
     return ctx.obj.get(key, default)
+
+
+def _count_setting(ctx, key: str, flag_value, default: int) -> int:
+    """A count resolved like ``_setting``: an int >= 1, never a bool."""
+    value = _setting(ctx, key, flag_value, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def _provenance(options: dict, seed, list_id: str = "", mode: str = "") -> dict:
@@ -246,9 +254,9 @@ def extract_cmd(
     backend = _setting(ctx, "backend", backend, "mock")
     model = _setting(ctx, "model", model, DEFAULT_MODEL)
     temperature = _setting(ctx, "temperature", temperature, 0.0)
-    max_output_tokens = _setting(ctx, "max_output_tokens", max_output_tokens, 64)
-    max_in_flight = _setting(ctx, "max_in_flight", max_in_flight, 4)
-    chunk_budget = _setting(ctx, "chunk_budget", chunk_budget, DEFAULT_CHUNK_BUDGET)
+    max_output_tokens = _count_setting(ctx, "max_output_tokens", max_output_tokens, 64)
+    max_in_flight = _count_setting(ctx, "max_in_flight", max_in_flight, 4)
+    chunk_budget = _count_setting(ctx, "chunk_budget", chunk_budget, DEFAULT_CHUNK_BUDGET)
     sample_per_cohort = _setting(ctx, "sample_per_cohort", sample_per_cohort)
     draws = _setting(ctx, "draws", draws, 1)
     cache_dir = _setting(ctx, "cache_dir", cache_dir)
@@ -316,9 +324,6 @@ def extract_cmd(
             out / "feature_matrix_patients.csv", provenance
         )
 
-    token_estimate = sum(
-        c.estimated_tokens for n in selected for c in chunk_text(n.text, chunk_budget, n.note_id)
-    )
     requests_total = gateway.cache_hits + gateway.cache_misses
     report = {
         "provenance": provenance,
@@ -329,7 +334,7 @@ def extract_cmd(
         "cache_hits": gateway.cache_hits,
         "cache_hit_rate": (gateway.cache_hits / requests_total) if requests_total else 0.0,
         "rejected_tokens": sum(len(p.rejects) for p in profiles),
-        "note_token_estimate": token_estimate,
+        "note_token_estimate": sum(p.estimated_tokens for p in profiles),
         "elapsed_seconds": round(elapsed, 3),
     }
     (out / "run_report.json").write_text(

@@ -223,10 +223,13 @@ def load_diagnoses(path: str | Path) -> "dict[str, list[DiagnosisRecord]]":
     return by_patient
 
 
-def _parse_optional_float(value) -> float | None:
+def _parse_optional_float(value, source: str, name: str) -> float | None:
     if value is None or value == "":
         return None
-    return float(value)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise CohortError(f"{source}: field {name!r} is not a number: {value!r}") from None
 
 
 def _parse_optional_bool(value) -> bool | None:
@@ -250,8 +253,8 @@ def _note_from_mapping(row: dict, source: str) -> NoteRecord:
         note_id=str(row["note_id"]),
         patient_id=str(row["patient_id"]),
         text=str(row["text"]),
-        age=_parse_optional_float(row.get("age")),
-        history_years=_parse_optional_float(row.get("history_years")),
+        age=_parse_optional_float(row.get("age"), source, "age"),
+        history_years=_parse_optional_float(row.get("history_years"), source, "history_years"),
         on_dementia_meds=_parse_optional_bool(row.get("on_dementia_meds")),
     )
 

@@ -1,4 +1,4 @@
-"""Parsing of constrained model outputs and assembly of the feature matrix.
+"""Streaming extraction, parsing of constrained model outputs and matrix assembly.
 
 Each (chunk, category) pair yields one completion. Tokens are matched against
 the category's candidate display names and aliases; the per-note profile is
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .chunking import DEFAULT_CHUNK_BUDGET, Chunk, chunk_text
 from .cohort import CohortManifest, NoteRecord
-from .errors import MatrixError, PhenoMineError
+from .errors import MatrixError
 from .features import FeatureMatrix
 from .gateway import DEFAULT_MODEL, CompletionRequest, LlmGateway
 from .prompts import render_prompt
@@ -40,21 +40,11 @@ class ExtractionProfile:
 
     note_id: str
     present: dict = field(default_factory=dict)
-    # (category key, phenotype id) -> number of chunks that contributed it
-    provenance: Counter = field(default_factory=Counter)
     rejects: list = field(default_factory=list)
     # (chunk index, category key) pairs whose completion failed
     incomplete: list = field(default_factory=list)
-
-    def merge_chunk(self, chunk_index: int, category: PhenotypeCategory, ids: set):
-        bucket = self.present.setdefault(category.key(), set())
-        bucket.update(ids)
-        for pid in ids:
-            self.provenance[(category.key(), pid)] += 1
-
-    @property
-    def is_empty(self) -> bool:
-        return not any(self.present.values())
+    # summed estimated_tokens of the note's chunks
+    estimated_tokens: int = 0
 
 
 def normalize_token(raw: str) -> str:
@@ -101,9 +91,11 @@ def plan_requests(
     model: str = DEFAULT_MODEL,
     temperature: float = 0.0,
     max_output_tokens: int = 64,
-) -> "list[tuple[Chunk, PhenotypeCategory, CompletionRequest]]":
-    """One request per chunk x category, in deterministic order."""
-    plan = []
+) -> "Iterator[tuple[Chunk, PhenotypeCategory, CompletionRequest]]":
+    """One request per chunk x category, in deterministic order.
+
+    Each prompt is rendered only when its request is drawn.
+    """
     for chunk in chunks:
         for category in plist.categories:
             request = CompletionRequest(
@@ -112,8 +104,7 @@ def plan_requests(
                 temperature=temperature,
                 max_output_tokens=max_output_tokens,
             )
-            plan.append((chunk, category, request))
-    return plan
+            yield chunk, category, request
 
 
 def _merge_result(
@@ -121,47 +112,15 @@ def _merge_result(
 ):
     unknown: list[str] = []
     ids = parse_response(text, category, rejects=unknown)
-    profile.merge_chunk(chunk.chunk_index, category, ids)
+    profile.present.setdefault(category.key(), set()).update(ids)
     for token in unknown:
         profile.rejects.append(
             RejectedToken(profile.note_id, chunk.chunk_index, category.key(), token)
         )
 
 
-def extract_note(
-    note: NoteRecord,
-    plist: PhenotypeList,
-    gateway: LlmGateway,
-    mode: str = "zero_shot",
-    chunk_budget: int = DEFAULT_CHUNK_BUDGET,
-    model: str = DEFAULT_MODEL,
-    temperature: float = 0.0,
-    max_output_tokens: int = 64,
-) -> ExtractionProfile:
-    """Extract one note serially; completion failures mark the (chunk, category)
-    incomplete and the rest of the note still completes."""
-    profile = ExtractionProfile(note_id=note.note_id)
-    chunks = chunk_text(note.text, budget=chunk_budget, note_id=note.note_id)
-    plan = plan_requests([c for c in chunks], plist, mode, model, temperature, max_output_tokens)
-    for chunk, category, request in plan:
-        try:
-            response = gateway.complete(request)
-        except PhenoMineError as exc:
-            logger.warning(
-                "note %s chunk %d category %s: completion failed: %s",
-                note.note_id,
-                chunk.chunk_index,
-                category.name,
-                exc,
-            )
-            profile.incomplete.append((chunk.chunk_index, category.key()))
-            continue
-        _merge_result(profile, chunk, category, response.text)
-    return profile
-
-
 def extract_notes(
-    notes: "list[NoteRecord]",
+    notes: "Iterable[NoteRecord]",
     plist: PhenotypeList,
     gateway: LlmGateway,
     mode: str = "zero_shot",
@@ -171,30 +130,46 @@ def extract_notes(
     temperature: float = 0.0,
     max_output_tokens: int = 64,
 ) -> "tuple[list[ExtractionProfile], int]":
-    """Extract a corpus through the bounded-concurrency batch interface.
+    """Extract a corpus in one streaming pass.
+
+    Each note is chunked once; its prompts are rendered as the gateway draws
+    them and its results merged as they come back, so memory holds a bounded
+    window of requests rather than the whole corpus's prompts. A failed
+    completion marks its (chunk, category) incomplete and the rest of the
+    note still completes.
 
     Returns the profiles (input order) and the number of failed completions.
     """
-    profiles = [ExtractionProfile(note_id=n.note_id) for n in notes]
-    plan: list[tuple[int, Chunk, PhenotypeCategory, CompletionRequest]] = []
-    for i, note in enumerate(notes):
-        chunks = chunk_text(note.text, budget=chunk_budget, note_id=note.note_id)
-        for chunk, category, request in plan_requests(
-            chunks, plist, mode, model, temperature, max_output_tokens
-        ):
-            plan.append((i, chunk, category, request))
-    batch = gateway.complete_batch([p[3] for p in plan], max_in_flight=max_in_flight)
-    failed_indices = {index for index, _ in batch.failures}
-    for j, (i, chunk, category, _request) in enumerate(plan):
-        if j in failed_indices:
-            profiles[i].incomplete.append((chunk.chunk_index, category.key()))
+    profiles: list[ExtractionProfile] = []
+
+    def jobs():
+        for note in notes:
+            profile = ExtractionProfile(note_id=note.note_id)
+            profiles.append(profile)
+            chunks = chunk_text(note.text, budget=chunk_budget, note_id=note.note_id)
+            profile.estimated_tokens = sum(c.estimated_tokens for c in chunks)
+            for chunk, category, request in plan_requests(
+                chunks, plist, mode, model, temperature, max_output_tokens
+            ):
+                yield (profile, chunk, category), request
+
+    failures = 0
+    for (profile, chunk, category), response, error in gateway.complete_stream(
+        jobs(), max_in_flight=max_in_flight
+    ):
+        if error is not None:
+            logger.warning(
+                "note %s chunk %d category %s: completion failed: %s",
+                profile.note_id,
+                chunk.chunk_index,
+                category.name,
+                error,
+            )
+            profile.incomplete.append((chunk.chunk_index, category.key()))
+            failures += 1
             continue
-        response = batch.responses[j]
-        _merge_result(profiles[i], chunk, category, response.text)
-    for index, message in batch.failures:
-        note_index = plan[index][0]
-        logger.warning("note %s: completion failed: %s", notes[note_index].note_id, message)
-    return profiles, len(batch.failures)
+        _merge_result(profile, chunk, category, response.text)
+    return profiles, failures
 
 
 def build_feature_matrix(

@@ -18,6 +18,11 @@ _HEIGHT = 540
 _MARGIN = 60
 
 
+def _escape(text: str) -> str:
+    """Character data for the SVG: ``&``, ``<`` and ``>`` as entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _axis_bounds(values) -> tuple:
     lo = min(values)
     hi = max(values)
@@ -63,8 +68,7 @@ def render_pca_svg(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
     ]
     if provenance:
-        blob = json.dumps(provenance, sort_keys=True).replace("&", "&amp;").replace("<", "&lt;")
-        parts.append(f"<desc>provenance: {blob}</desc>")
+        parts.append(f"<desc>provenance: {_escape(json.dumps(provenance, sort_keys=True))}</desc>")
     parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     parts.append(
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{plot_w}" height="{plot_h}" '
@@ -98,7 +102,7 @@ def render_pca_svg(
         )
         parts.append(
             f'<text x="{_WIDTH - _MARGIN - 78}" y="{legend_y + 4}" '
-            f'font-family="sans-serif" font-size="13">{cohort}</text>'
+            f'font-family="sans-serif" font-size="13">{_escape(cohort)}</text>'
         )
         legend_y += 20
     parts.append("</svg>")

@@ -1,9 +1,10 @@
-"""Completion gateway: HTTP chat backend, deterministic mock, cache, batching.
+"""Completion gateway: HTTP chat backend, deterministic mock, cache, streaming fan-out.
 
 Every extraction call goes through ``LlmGateway.complete``, which consults a
 content-addressed on-disk cache first and retries transient backend failures
-with exponential backoff. ``complete_batch`` fans requests out with a bounded
-number in flight and reports per-request failures positionally.
+with exponential backoff. ``complete_stream`` fans a stream of requests out
+with a bounded number in flight and yields each result, or its failure, in
+input order.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import os
 import socket
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlparse
 
@@ -40,6 +42,12 @@ DEFAULT_MODEL = "gemma-3-12b-it"
 API_KEY_ENV_VAR = "PHENO_MINE_API_KEY"
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_BASE = 1.0
+# Most requests outstanding per worker on the threaded path. The window is
+# refilled only once it has drained to half, so a worker always finds the next
+# request queued, also while the oldest request is being retried, and the
+# caller draws (renders) requests in batches: drawing one request after every
+# result made a 2-in-flight loopback HTTP run measurably slower.
+WINDOW_PER_WORKER = 64
 
 
 @dataclass(frozen=True)
@@ -135,6 +143,9 @@ class MockBackend:
     """
 
     backend_id = "mock"
+    # Pure computation: a worker thread would only contend for the interpreter
+    # lock, so the gateway completes mock requests inline.
+    never_waits = True
 
     def __init__(self, table: MockRuleTable, plist: PhenotypeList):
         table.validate_against(plist)
@@ -156,21 +167,6 @@ class MockBackend:
                 if rule.phenotype not in emitted:
                     emitted.append(rule.phenotype)
         return ", ".join(emitted) if emitted else "none"
-
-
-def mock_complete(
-    request: CompletionRequest, table: MockRuleTable, plist: PhenotypeList
-) -> CompletionResponse:
-    """One-shot mock completion without cache or gateway plumbing."""
-    backend = MockBackend(table, plist)
-    start = time.perf_counter()
-    text = backend.complete_text(request)
-    return CompletionResponse(
-        text=text,
-        backend_id=backend.backend_id,
-        cached=False,
-        latency_ms=(time.perf_counter() - start) * 1000.0,
-    )
 
 
 class HttpChatBackend:
@@ -284,7 +280,9 @@ class ResponseCache:
         if not self.directory:
             return
         path = self.directory / f"{key}.json"
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        # One temp file per writing thread: threads completing the same prompt
+        # would otherwise rename a shared temp file from under each other.
+        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         doc = {
             "text": text,
             "backend": backend_id,
@@ -294,16 +292,6 @@ class ResponseCache:
         }
         tmp.write_text(json.dumps(doc, sort_keys=True, ensure_ascii=False), encoding="utf-8")
         os.replace(tmp, path)
-
-
-@dataclass
-class BatchResult:
-    responses: "list[CompletionResponse | None]"
-    failures: "list[tuple[int, str]]"  # (request index, error message)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 class LlmGateway:
@@ -329,20 +317,23 @@ class LlmGateway:
         self._counter_lock = threading.Lock()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        key = ResponseCache.key(self.backend.backend_id, request)
-        hit = self.cache.get(key)
-        if hit is not None:
-            with self._counter_lock:
-                self.cache_hits += 1
-            return CompletionResponse(
-                text=hit, backend_id=self.backend.backend_id, cached=True, latency_ms=0.0
-            )
+        key = None
+        if self.cache.directory:
+            key = ResponseCache.key(self.backend.backend_id, request)
+            hit = self.cache.get(key)
+            if hit is not None:
+                with self._counter_lock:
+                    self.cache_hits += 1
+                return CompletionResponse(
+                    text=hit, backend_id=self.backend.backend_id, cached=True, latency_ms=0.0
+                )
         with self._counter_lock:
             self.cache_misses += 1
         start = time.perf_counter()
         text = self._complete_with_retries(request)
         latency_ms = (time.perf_counter() - start) * 1000.0
-        self.cache.put(key, text, request, self.backend.backend_id)
+        if key is not None:
+            self.cache.put(key, text, request, self.backend.backend_id)
         return CompletionResponse(
             text=text, backend_id=self.backend.backend_id, cached=False, latency_ms=latency_ms
         )
@@ -368,23 +359,46 @@ class LlmGateway:
             f"backend failed after {self.max_attempts} attempts: {last_error}"
         ) from last_error
 
-    def complete_batch(
-        self, requests_seq: "list[CompletionRequest]", max_in_flight: int = 4
-    ) -> BatchResult:
+    def complete_stream(self, jobs, max_in_flight: int = 4):
+        """Complete ``(tag, request)`` pairs, yielding ``(tag, response, error)``.
+
+        Results come back in input order. A failed request yields
+        ``(tag, None, message)`` and the stream goes on. ``jobs`` is consumed
+        lazily: a backend that never waits completes each request inline as
+        it is drawn; any other backend gets ``max_in_flight`` worker threads
+        with at most ``WINDOW_PER_WORKER`` requests per worker outstanding.
+        """
         if max_in_flight < 1:
             raise ParameterError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        responses: list[CompletionResponse | None] = [None] * len(requests_seq)
-        failures: list[tuple[int, str]] = []
-        if not requests_seq:
-            return BatchResult(responses=responses, failures=failures)
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            futures = {
-                pool.submit(self.complete, req): i for i, req in enumerate(requests_seq)
-            }
-            for future, index in futures.items():
-                try:
-                    responses[index] = future.result()
-                except Exception as exc:  # noqa: BLE001 - reported positionally
-                    failures.append((index, str(exc)))
-        failures.sort()
-        return BatchResult(responses=responses, failures=failures)
+        if getattr(self.backend, "never_waits", False):
+            return self._stream_inline(jobs)
+        return self._stream_threaded(jobs, max_in_flight)
+
+    def _stream_inline(self, jobs):
+        for tag, request in jobs:
+            try:
+                yield tag, self.complete(request), None
+            except Exception as exc:  # noqa: BLE001 - reported per request
+                yield tag, None, str(exc)
+
+    def _stream_threaded(self, jobs, max_in_flight: int):
+        window: deque = deque()
+        limit = max_in_flight * WINDOW_PER_WORKER
+        pool = ThreadPoolExecutor(max_workers=max_in_flight)
+        try:
+            for tag, request in jobs:
+                window.append((tag, pool.submit(self.complete, request)))
+                if len(window) >= limit:
+                    while len(window) > limit // 2:
+                        yield _settled(*window.popleft())
+            while window:
+                yield _settled(*window.popleft())
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _settled(tag, future):
+    try:
+        return tag, future.result(), None
+    except Exception as exc:  # noqa: BLE001 - reported per request
+        return tag, None, str(exc)

@@ -167,3 +167,85 @@ def kmeans_global_optimum(X: np.ndarray, k: int) -> float:
         if inertia < best:
             best = inertia
     return best
+
+
+# ---------------------------------------------------------------------------
+# sentence segmentation and chunk packing, one character and one join at a time
+
+
+def _guarded_oracle(text: str, start: int, punct: int) -> bool:
+    """Abbreviation guard, plus a decimal guard the whitespace rule never reaches."""
+    from pheno_mine.chunking import GUARDED_ABBREVIATIONS
+
+    if text[punct] != ".":
+        return False
+    begin = punct
+    while begin > start and not text[begin - 1].isspace():
+        begin -= 1
+    if text[begin : punct + 1].lstrip("(\"'[") in GUARDED_ABBREVIATIONS:
+        return True
+    return (
+        punct > 0
+        and text[punct - 1].isdigit()
+        and punct + 1 < len(text)
+        and text[punct + 1].isdigit()
+    )
+
+
+def segment_sentences_oracle(text: str) -> list:
+    """Character-by-character scan for [.!?] + whitespace + uppercase/digit."""
+    sentences = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] in ".!?" and i + 1 < n and text[i + 1].isspace():
+            j = i + 1
+            while j < n and text[j].isspace():
+                j += 1
+            if j < n and (text[j].isupper() or text[j].isdigit()) and not _guarded_oracle(
+                text, start, i
+            ):
+                piece = " ".join(text[start : i + 1].split())
+                if piece:
+                    sentences.append(piece)
+                start = j
+                i = j
+                continue
+        i += 1
+    tail = " ".join(text[start:].split())
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+def pack_chunks_oracle(sentences: list, budget: int, note_id: str = "", hard_limit=None) -> list:
+    """Greedy packing that re-joins the candidate chunk to test each sentence."""
+    from pheno_mine.chunking import Chunk, _hard_split, estimate_tokens
+
+    chunks = []
+    current = []
+
+    def flush():
+        if current:
+            text = " ".join(current)
+            chunks.append(Chunk(note_id, len(chunks), text, estimate_tokens(text)))
+            current.clear()
+
+    for sentence in sentences:
+        if estimate_tokens(sentence) > budget:
+            flush()
+            if hard_limit is not None and estimate_tokens(sentence) > hard_limit:
+                pieces = _hard_split(sentence, hard_limit)
+            else:
+                pieces = [sentence]
+            for piece in pieces:
+                chunks.append(
+                    Chunk(note_id, len(chunks), piece, estimate_tokens(piece), oversized=True)
+                )
+            continue
+        if current and estimate_tokens(" ".join(current + [sentence])) > budget:
+            flush()
+        current.append(sentence)
+    flush()
+    return chunks

@@ -1,6 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import pack_chunks_oracle, segment_sentences_oracle
 
 from pheno_mine.chunking import (
     chunk_text,
@@ -132,3 +135,44 @@ def test_chunk_text_union_preserves_all_sentences(demo_notes):
         rebuilt = " ".join(c.text for c in chunks)
         assert rebuilt == " ".join(sentences)
         assert all(c.note_id == record.note_id for c in chunks)
+
+
+# Fragments that sit on every branch of the boundary rule: guarded
+# abbreviations (with the opening brackets the guard strips), decimals,
+# Unicode digits and uppercase letters, and Unicode whitespace.
+_FRAGMENTS = st.sampled_from(
+    [
+        "Dr.", "Mrs.", "vs.", "e.g.", "i.e.", "Pt.", "pt.", "approx.", "(Dr.", '"Pt.', "[e.g.",
+        "1.0", "0.5 mg.", "\u0663", "\u00b2", "\u216b", "\u00c9", "\u00df", "Word", "word", "7",
+        ".", "!", "?", "...", ". ", "! ", "? ",
+        " ", "  ", "\n", "\t", "\u00a0", "\u2003", "\u3000", "\x1c", "\u2028", "\x85",
+    ]
+)
+_TEXT = st.lists(_FRAGMENTS | st.text(max_size=4), max_size=60).map("".join)
+# Sentences as segment_sentences emits them, plus long runs for the hard split.
+_SENTENCES = st.lists(
+    st.one_of(_TEXT, st.text(alphabet="xy ", max_size=300)).map(lambda t: " ".join(t.split())),
+    max_size=20,
+).map(lambda sentences: [s for s in sentences if s])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXT)
+def test_segment_sentences_matches_character_scan(text):
+    sentences = segment_sentences(text)
+    assert sentences == segment_sentences_oracle(text)
+    # joining the sentences keeps every non-whitespace character, in order
+    assert " ".join(sentences) == " ".join(text.split())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SENTENCES, st.integers(1, 40), st.none() | st.integers(1, 40))
+def test_pack_chunks_matches_join_oracle_and_budget(sentences, budget, hard_limit):
+    chunks = pack_chunks(sentences, budget, "N1", hard_limit)
+    assert chunks == pack_chunks_oracle(sentences, budget, "N1", hard_limit)
+    # chunks keep every non-whitespace character, in order
+    assert "".join(c.text for c in chunks).replace(" ", "") == "".join(sentences).replace(" ", "")
+    for chunk in chunks:
+        assert chunk.oversized or chunk.estimated_tokens <= budget
+        if hard_limit is not None:
+            assert chunk.estimated_tokens <= max(budget, hard_limit)

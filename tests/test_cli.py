@@ -144,6 +144,45 @@ def test_extract_http_requires_base_url(runner, tmp_path):
     assert "requires --base-url" in result.stderr
 
 
+def test_extract_rejects_non_numeric_note_fields_before_artifacts(runner, tmp_path):
+    record = json.loads(Path(NOTES).read_text(encoding="utf-8").splitlines()[0])
+    for field in ("age", "history_years"):
+        notes = tmp_path / f"bad_{field}.jsonl"
+        notes.write_text(json.dumps({**record, field: "unknown"}) + "\n", encoding="utf-8")
+        out = tmp_path / field
+        result = runner.invoke(
+            main, ["extract", "--notes", str(notes), "--diagnoses", DIAGNOSES, "--out-dir", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr.count("\n") == 1
+        assert f"field '{field}' is not a number: 'unknown'" in result.stderr
+        assert not out.exists() or not list(out.iterdir())
+
+
+def test_extract_rejects_bad_config_counts_before_artifacts(runner, tmp_path):
+    bad_settings = [
+        ("max_in_flight", "4"),
+        ("max_in_flight", 0),
+        ("chunk_budget", True),
+        ("chunk_budget", 12.5),
+        ("max_output_tokens", -1),
+    ]
+    for i, (key, value) in enumerate(bad_settings):
+        config = tmp_path / f"config{i}.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / f"out{i}"
+        result = runner.invoke(
+            main,
+            ["--config", str(config), "extract", "--notes", NOTES, "--diagnoses", DIAGNOSES,
+             "--out-dir", str(out)],
+        )
+        assert result.exit_code == 1, (key, value, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {key} must be an integer >= 1, got {value!r}\n"
+        assert not out.exists() or not list(out.iterdir())
+
+
 def test_extract_unreachable_endpoint_fails_before_artifacts(runner, tmp_path):
     out = tmp_path / "noart"
     result = runner.invoke(

@@ -1,14 +1,15 @@
 import json
 
 import pytest
+from click.testing import CliRunner
 
+from pheno_mine import chunking, cli, extraction
 from pheno_mine.cohort import CohortManifest, ManifestEntry, NoteRecord
 from pheno_mine.errors import MatrixError
 from pheno_mine.extraction import (
     ExtractionProfile,
     aggregate_by_patient,
     build_feature_matrix,
-    extract_note,
     extract_notes,
     normalize_token,
     parse_response,
@@ -16,8 +17,9 @@ from pheno_mine.extraction import (
     write_reject_log,
 )
 from pheno_mine.chunking import chunk_text
+from pheno_mine.cli import data_path, main
 from pheno_mine.errors import TransientBackendError
-from pheno_mine.gateway import LlmGateway
+from pheno_mine.gateway import WINDOW_PER_WORKER, LlmGateway
 
 
 def test_normalize_token():
@@ -54,7 +56,7 @@ def test_parse_response_duplicate_tokens_collapse(list1):
 def test_plan_requests_is_chunk_by_category(combined):
     chunks = chunk_text("First sentence here. Second sentence here.", 6, "N1")
     assert len(chunks) == 2
-    plan = plan_requests(chunks, combined)
+    plan = list(plan_requests(chunks, combined))
     assert len(plan) == 2 * len(combined.categories)
     # deterministic order: chunk-major, category-minor
     first_block = plan[: len(combined.categories)]
@@ -71,7 +73,8 @@ def test_extract_note_unions_chunks(mock_gateway, combined):
     )
     note = NoteRecord("N1", "P1", text)
     # budget of 15 tokens forces the two sentences into separate chunks
-    profile = extract_note(note, combined, mock_gateway, chunk_budget=15)
+    (profile,), failures = extract_notes([note], combined, mock_gateway, chunk_budget=15)
+    assert failures == 0
     assert not profile.incomplete
     assert profile.present.get("list1:Comorbidities") == {"hypertension"}
     assert profile.present.get("list1:Neuroimaging findings") == {"atrophy"}
@@ -100,8 +103,9 @@ def test_extract_note_marks_incomplete_but_continues(combined, mock_gateway):
         "Imaging showed generalized cortical atrophy."
     )
     note = NoteRecord("N1", "P1", text)
-    profile = extract_note(note, combined, gateway)
-    assert profile.incomplete
+    (profile,), failures = extract_notes([note], combined, gateway)
+    assert failures == 1
+    assert profile.incomplete == [(0, "list1:Comorbidities")]
     # the unaffected category still extracted
     assert profile.present.get("list1:Neuroimaging findings") == {"atrophy"}
     assert "list1:Comorbidities" not in profile.present
@@ -117,6 +121,48 @@ def test_extract_notes_counts_failures(combined, mock_gateway):
     profiles, failures = extract_notes(notes, combined, gateway)
     assert failures == 2  # one failed category per note
     assert all(p.incomplete for p in profiles)
+
+
+def test_inline_and_threaded_paths_agree(combined, mock_gateway, demo_notes):
+    results = []
+    for never_waits in (True, False):
+        backend = SometimesDownBackend(mock_gateway.backend, "comorbidities of ADRD")
+        backend.never_waits = never_waits
+        gateway = LlmGateway(backend, max_attempts=1, sleep=lambda _: None)
+        profiles, failures = extract_notes(
+            demo_notes, combined, gateway, chunk_budget=40, max_in_flight=2
+        )
+        assert gateway.cache_misses > 2 * WINDOW_PER_WORKER  # the window slides
+        results.append(([vars(p) for p in profiles], failures))
+    assert results[0] == results[1]
+    profiles, failures = results[0]
+    assert failures == sum(len(p["incomplete"]) for p in profiles) > 0
+    assert any(p["present"] for p in profiles)
+
+
+def test_extract_chunks_each_note_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_chunk_text(text, *args, **kwargs):
+        calls.append(text)
+        return chunk_text(text, *args, **kwargs)
+
+    # every module that could chunk a note, whether or not it imports the name
+    for module in (chunking, extraction, cli):
+        monkeypatch.setattr(module, "chunk_text", counting_chunk_text, raising=False)
+    notes = data_path("demo_notes.jsonl")
+    result = CliRunner().invoke(
+        main,
+        ["extract", "--notes", str(notes), "--diagnoses", str(data_path("demo_diagnoses.csv")),
+         "--chunk-budget", "40", "--out-dir", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    texts = [json.loads(line)["text"] for line in notes.read_text().splitlines() if line]
+    assert sorted(calls) == sorted(texts)
+    report = json.loads((tmp_path / "run_report.json").read_text())
+    assert report["note_token_estimate"] == sum(
+        c.estimated_tokens for t in texts for c in chunk_text(t, 40)
+    )
 
 
 def manifest_for(notes, cohorts):

@@ -1,6 +1,8 @@
 import http.server
 import json
+import logging
 import os
+import sys
 import threading
 
 import pytest
@@ -23,7 +25,7 @@ from pheno_mine.gateway import (
     MockBackend,
     MockRuleTable,
     ResponseCache,
-    mock_complete,
+    WINDOW_PER_WORKER,
 )
 from pheno_mine.prompts import render_zero_shot
 
@@ -112,10 +114,9 @@ def test_mock_case_insensitive_triggers(mock_backend, combined):
     )
 
 
-def test_mock_complete_helper(combined):
-    table = MockRuleTable.from_csv(data_path("mock_rules.csv"))
+def test_mock_backend_completes_through_gateway(mock_gateway, combined):
     req = request_for(combined.category("Comorbidities"), "hypertension present")
-    resp = mock_complete(req, table, combined)
+    resp = mock_gateway.complete(req)
     assert resp.text == "hypertension"
     assert resp.backend_id == "mock"
     assert not resp.cached
@@ -162,6 +163,35 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, combined):
     assert resp.text == "hypertension"
     # the corrupt entry was rewritten with a good one
     assert json.loads(entry.read_text(encoding="utf-8"))["text"] == "hypertension"
+
+
+class EchoBackend:
+    """Answers at once, from worker threads (no ``never_waits``)."""
+
+    backend_id = "echo"
+
+    def complete_text(self, request):
+        return f"echo {request.prompt}"
+
+
+def test_cache_survives_concurrent_writes_of_one_prompt(tmp_path, caplog):
+    # 100 distinct prompts, each 8 times in a row, 8 in flight on a fresh
+    # cache: threads finishing the same prompt write the same entry at once.
+    gateway = LlmGateway(EchoBackend(), cache_dir=tmp_path / "cache")
+    jobs = [(i, CompletionRequest(prompt=f"prompt {i // 8}")) for i in range(800)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with caplog.at_level(logging.WARNING, logger="pheno_mine.gateway"):
+            results = list(gateway.complete_stream(jobs, max_in_flight=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [error for _, _, error in results if error] == []
+    assert [tag for tag, _, _ in results] == list(range(800))
+    assert all(resp.text == f"echo prompt {tag // 8}" for tag, resp, _ in results)
+    assert not [r for r in caplog.records if "corrupt cache entry" in r.getMessage()]
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 100
+    assert not list((tmp_path / "cache").glob("*.tmp.*"))
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +262,28 @@ def test_batch_preserves_order_and_reports_failures(combined):
                 raise BackendError(f"no {n}")
             return f"text {n}"
 
-    gateway = LlmGateway(EvenFailBackend(), sleep=lambda _: None)
-    reqs = [CompletionRequest(prompt=f"req {i}") for i in range(7)]
-    result = gateway.complete_batch(reqs, max_in_flight=3)
-    assert not result.ok
-    assert [i for i, _ in result.failures] == [0, 2, 4, 6]
-    for i in (1, 3, 5):
-        assert result.responses[i].text == f"text {i}"
-    for i in (0, 2, 4, 6):
-        assert result.responses[i] is None
+    # more requests than either window holds, so later requests are submitted
+    # while earlier results are being drained
+    count = 2 * WINDOW_PER_WORKER + 7
+    for never_waits, in_flight in ((False, 2), (True, 1), (False, 1)):
+        backend = EvenFailBackend()
+        backend.never_waits = never_waits
+        gateway = LlmGateway(backend, sleep=lambda _: None)
+        jobs = ((i, CompletionRequest(prompt=f"req {i}")) for i in range(count))
+        results = list(gateway.complete_stream(jobs, max_in_flight=in_flight))
+        assert [tag for tag, _, _ in results] == list(range(count))
+        for i, response, error in results:
+            if i % 2:
+                assert response.text == f"text {i}" and error is None
+            else:
+                assert response is None and error == f"no {i}"
 
 
 def test_batch_rejects_bad_parallelism(mock_gateway):
-    with pytest.raises(ParameterError):
-        mock_gateway.complete_batch([], max_in_flight=0)
+    # rejected when called, before any request is drawn
+    for bad in (0, -1):
+        with pytest.raises(ParameterError):
+            mock_gateway.complete_stream(iter(()), max_in_flight=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """PCA projection checks against an SVD oracle, plus CSV/SVG emission."""
 
 import csv
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -165,6 +166,17 @@ def test_svg_contains_points_axes_and_legend(tmp_path):
     out = tmp_path / "pca_scatter.svg"
     write_pca_svg(projection, cohorts, out)
     assert out.read_text().startswith("<svg ")
+
+
+def test_svg_escapes_cohort_labels():
+    X = random_matrix(5, rows=4, dims=3)
+    cohorts = ['A<B&"C"', 'A<B&"C"', "</svg>", "</svg>"]
+    svg = render_pca_svg(pca_project(X), cohorts, provenance={"list_id": "a]]>b&<"})
+    root = ElementTree.fromstring(svg)
+    labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels[-2:] == ['A<B&"C"', "</svg>"]
+    desc = root.find("{http://www.w3.org/2000/svg}desc").text
+    assert desc == 'provenance: {"list_id": "a]]>b&<"}'
 
 
 def test_svg_is_byte_stable_and_flags_degenerate():
