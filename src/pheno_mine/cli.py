@@ -8,6 +8,7 @@ import json
 import logging
 import sys
 import time
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +19,9 @@ from . import cohort as cohort_mod
 from . import extraction, figures, pca, stats
 from .chunking import DEFAULT_CHUNK_BUDGET
 from .clustering import (
-    ClusteringReport,
+    DEFAULT_MAX_ITER,
+    DEFAULT_RESTARTS,
+    DEFAULT_TOL,
     evaluate_clustering,
     write_clustering_report,
 )
@@ -33,9 +36,9 @@ from .gateway import (
 )
 from .schema import builtin_list, resolve_list, to_document
 
-logger = logging.getLogger(__name__)
-
 EXIT_FAILURES = 2
+
+DEFAULT_CLUSTER_SETTINGS = ((2, "collapsed_patient"), (3, "three_way"))
 
 _DATA_FILES = (
     "list1.json",
@@ -49,6 +52,23 @@ _DATA_FILES = (
     "demo_terms.csv",
     "demo_ner.jsonl",
 )
+
+# Option types shared by several commands (and by the group's own --seed/--out-dir).
+SEED = click.IntRange(min=0)
+OUT_DIR = click.Path(file_okay=False)
+EXISTING_FILE = click.Path(exists=True, dir_okay=False)
+
+seed_option = click.option("--seed", type=SEED, default=0, help="Random seed recorded in every artifact.")
+out_dir_option = click.option("--out-dir", type=OUT_DIR, default=".", help="Artifact directory.")
+sample_option = click.option(
+    "--sample-per-cohort", type=click.IntRange(min=0), help="Cap each cohort at N notes."
+)
+draws_option = click.option(
+    "--draws", type=click.IntRange(min=1), default=1, help="Union of this many independent draws."
+)
+matrix_option = click.option("--matrix", "matrix_path", type=EXISTING_FILE, required=True)
+yates_option = click.option("--yates", type=click.Choice(["auto", "on", "off"]), default="auto")
+restarts_option = click.option("--restarts", type=click.IntRange(min=1), default=DEFAULT_RESTARTS)
 
 
 def data_path(name: str) -> Path:
@@ -70,33 +90,87 @@ def guarded(fn):
     return wrapper
 
 
-def _setting(ctx, key: str, flag_value, default=None):
-    """Resolution order: explicit flag, config file entry, default."""
-    if flag_value is not None:
-        return flag_value
-    return ctx.obj.get(key, default)
+def _expected(kind) -> tuple:
+    """The JSON type of a config value for an option of type ``kind``, and its values in words."""
+    if isinstance(kind, click.Choice):
+        return str, "one of " + ", ".join(repr(c) for c in kind.choices)
+    if isinstance(kind, click.types.BoolParamType):
+        return bool, "true or false"
+    if isinstance(kind, click.types.IntParamType):
+        json_type, noun = int, "an integer"
+    elif isinstance(kind, click.types.FloatParamType):
+        json_type, noun = (int, float), "a number"
+    else:
+        return str, "a string"
+    bounds = []
+    if getattr(kind, "min", None) is not None:
+        bounds.append(f"{'>' if kind.min_open else '>='} {kind.min}")
+    if getattr(kind, "max", None) is not None:
+        bounds.append(f"{'<' if kind.max_open else '<='} {kind.max}")
+    return json_type, " ".join([noun, " and ".join(bounds)]).rstrip()
 
 
-def _count_setting(ctx, key: str, flag_value, default: int) -> int:
-    """A count resolved like ``_setting``: an int >= 1, never a bool."""
-    value = _setting(ctx, key, flag_value, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
-    return value
+def _config_value(param, key: str, value):
+    """One config value checked against its option's declaration and converted as a flag is."""
+    json_type, words = _expected(param.type)
+    # a JSON true/false is an int to isinstance, but never a number here
+    if not isinstance(value, json_type) or isinstance(value, bool) != (json_type is bool):
+        raise ConfigError(f"{key} must be {words}, got {value!r}")
+    try:
+        return param.type.convert(value, param, None)
+    except click.BadParameter as exc:
+        if isinstance(param.type, click.Path):
+            raise ConfigError(f"{key}: {exc.message}") from None
+        raise ConfigError(f"{key} must be {words}, got {value!r}") from None
 
 
-def _provenance(options: dict, seed, list_id: str = "", mode: str = "") -> dict:
+def _config_defaults(config_path, command) -> dict:
+    """``--config`` entries for the options of ``command`` (long name, underscores for dashes)."""
+    try:
+        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{config_path}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{config_path}: config must be a JSON object")
+    values = {}
+    for param in command.params:
+        key = max(param.opts, key=len).lstrip("-").replace("-", "_")
+        if key not in doc:
+            continue  # keys that name no option of the command are ignored
+        value = doc[key]
+        if not param.multiple:
+            values[param.name] = _config_value(param, key, value)
+        elif isinstance(value, list):
+            values[param.name] = tuple(_config_value(param, key, item) for item in value)
+        else:
+            raise ConfigError(f"{key} must be a JSON list, got {value!r}")
+    return values
+
+
+def _provenance(options: dict, seed: int, list_id: str = "", mode: str = "") -> dict:
     blob = json.dumps(options, sort_keys=True, default=str)
     return {
         "config_hash": hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12],
-        "seed": 0 if seed is None else seed,
+        "seed": seed,
         "list_id": list_id,
         "mode": mode,
     }
 
 
-def _out_dir(ctx, flag_value) -> Path:
-    out = Path(_setting(ctx, "out_dir", flag_value, "."))
+def _list_ids(items) -> str:
+    """The sorted, comma-joined list ids of columns or count rows."""
+    return ",".join(sorted({item.list_id for item in items}))
+
+
+def _load_matrix(matrix_path, seed: int, **options) -> tuple:
+    """The matrix at ``matrix_path`` and the provenance of ``options`` run on it."""
+    matrix = FeatureMatrix.from_csv(matrix_path)
+    options["matrix"] = str(matrix_path)
+    return matrix, _provenance(options, seed, _list_ids(matrix.columns))
+
+
+def _out_dir(out_dir) -> Path:
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -105,12 +179,11 @@ def _out_dir(ctx, flag_value) -> Path:
 @click.option(
     "--config",
     "config_path",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
-    help="JSON file supplying default values for any option (keys use underscores).",
+    type=EXISTING_FILE,
+    help="JSON file of option values for the invoked command (keys use underscores).",
 )
-@click.option("--seed", type=int, default=None, help="Random seed recorded in every artifact.")
-@click.option("--out-dir", type=click.Path(file_okay=False), default=None, help="Artifact directory.")
+@click.option("--seed", type=SEED, help="Random seed recorded in every artifact.")
+@click.option("--out-dir", type=OUT_DIR, help="Artifact directory.")
 @click.option("--verbose", is_flag=True, help="Enable debug logging.")
 @click.pass_context
 @guarded
@@ -125,20 +198,14 @@ def main(ctx, config_path, seed, out_dir, verbose):
         level=logging.DEBUG if verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    settings: dict = {}
-    if config_path:
-        try:
-            doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{config_path}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{config_path}: config must be a JSON object")
-        settings.update(doc)
+    command = main.get_command(ctx, ctx.invoked_subcommand)
+    defaults = _config_defaults(config_path, command) if config_path else {}
+    # Group flags beat config entries; the subcommand's own flags beat both.
     if seed is not None:
-        settings["seed"] = seed
+        defaults["seed"] = seed
     if out_dir is not None:
-        settings["out_dir"] = out_dir
-    ctx.obj = settings
+        defaults["out_dir"] = out_dir
+    ctx.default_map = {ctx.invoked_subcommand: defaults}
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +213,17 @@ def main(ctx, config_path, seed, out_dir, verbose):
 
 
 @main.command("cohort")
-@click.option("--notes", "notes_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option(
-    "--diagnoses", "diagnoses_path", type=click.Path(exists=True, dir_okay=False), required=True
-)
-@click.option("--out-manifest", type=click.Path(dir_okay=False), default=None)
-@click.option("--sample-per-cohort", type=int, default=None, help="Cap each cohort at N notes.")
-@click.option("--draws", type=int, default=None, help="Union of this many independent draws.")
-@click.option("--seed", type=int, default=None)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=None)
-@click.pass_context
+@click.option("--notes", "notes_path", type=EXISTING_FILE, required=True)
+@click.option("--diagnoses", "diagnoses_path", type=EXISTING_FILE, required=True)
+@click.option("--out-manifest", type=click.Path(dir_okay=False))
+@sample_option
+@draws_option
+@seed_option
+@out_dir_option
 @guarded
-def cohort_cmd(ctx, notes_path, diagnoses_path, out_manifest, sample_per_cohort, draws, seed, out_dir):
+def cohort_cmd(notes_path, diagnoses_path, out_manifest, sample_per_cohort, draws, seed, out_dir):
     """Label notes with CN/MCI/ADRD cohorts and write the run manifest."""
-    seed = _setting(ctx, "seed", seed, 0)
-    draws = _setting(ctx, "draws", draws, 1)
-    sample_per_cohort = _setting(ctx, "sample_per_cohort", sample_per_cohort)
-    out = _out_dir(ctx, out_dir)
+    out = _out_dir(out_dir)
     manifest_path = Path(out_manifest) if out_manifest else out / "manifest.csv"
     notes = cohort_mod.load_notes(notes_path)
     diagnoses = cohort_mod.load_diagnoses(diagnoses_path)
@@ -204,29 +265,29 @@ def _apply_sampling(manifest, sample_per_cohort, seed, draws):
 
 
 @main.command("extract")
-@click.option("--notes", "notes_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--manifest", "manifest_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--diagnoses", "diagnoses_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--list", "list_spec", default=None, help="list1, list2, combined, or a schema JSON path.")
-@click.option("--mode", type=click.Choice(["zero_shot", "few_shot"]), default=None)
-@click.option("--backend", type=click.Choice(["mock", "http"]), default=None)
-@click.option("--mock-rules", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--base-url", default=None, help="Chat-completions endpoint base URL (http backend).")
-@click.option("--model", default=None)
-@click.option("--temperature", type=float, default=None)
-@click.option("--max-output-tokens", type=int, default=None)
-@click.option("--max-in-flight", type=int, default=None)
-@click.option("--cache-dir", type=click.Path(file_okay=False), default=None)
-@click.option("--chunk-budget", type=int, default=None)
-@click.option("--sample-per-cohort", type=int, default=None)
-@click.option("--draws", type=int, default=None)
-@click.option("--per-patient", is_flag=True, default=False, help="Also write an OR-aggregated patient-level matrix.")
-@click.option("--seed", type=int, default=None)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=None)
-@click.pass_context
+@click.option("--notes", "notes_path", type=EXISTING_FILE, required=True)
+@click.option("--manifest", "manifest_path", type=EXISTING_FILE)
+@click.option("--diagnoses", "diagnoses_path", type=EXISTING_FILE)
+@click.option(
+    "--list", "list_spec", default="combined", help="list1, list2, combined, or a schema JSON path."
+)
+@click.option("--mode", type=click.Choice(["zero_shot", "few_shot"]), default="zero_shot")
+@click.option("--backend", type=click.Choice(["mock", "http"]), default="mock")
+@click.option("--mock-rules", type=EXISTING_FILE)
+@click.option("--base-url", help="Chat-completions endpoint base URL (http backend).")
+@click.option("--model", default=DEFAULT_MODEL)
+@click.option("--temperature", type=click.FloatRange(min=0), default=0.0)
+@click.option("--max-output-tokens", type=click.IntRange(min=1), default=64)
+@click.option("--max-in-flight", type=click.IntRange(min=1), default=4)
+@click.option("--cache-dir", type=click.Path(file_okay=False))
+@click.option("--chunk-budget", type=click.IntRange(min=1), default=DEFAULT_CHUNK_BUDGET)
+@sample_option
+@draws_option
+@click.option("--per-patient", is_flag=True, help="Also write an OR-aggregated patient-level matrix.")
+@seed_option
+@out_dir_option
 @guarded
 def extract_cmd(
-    ctx,
     notes_path,
     manifest_path,
     diagnoses_path,
@@ -248,20 +309,7 @@ def extract_cmd(
     out_dir,
 ):
     """Run the full pipeline: cohort, sample, chunk, prompt, complete, parse, matrix."""
-    seed = _setting(ctx, "seed", seed, 0)
-    list_spec = _setting(ctx, "list", list_spec, "combined")
-    mode = _setting(ctx, "mode", mode, "zero_shot")
-    backend = _setting(ctx, "backend", backend, "mock")
-    model = _setting(ctx, "model", model, DEFAULT_MODEL)
-    temperature = _setting(ctx, "temperature", temperature, 0.0)
-    max_output_tokens = _count_setting(ctx, "max_output_tokens", max_output_tokens, 64)
-    max_in_flight = _count_setting(ctx, "max_in_flight", max_in_flight, 4)
-    chunk_budget = _count_setting(ctx, "chunk_budget", chunk_budget, DEFAULT_CHUNK_BUDGET)
-    sample_per_cohort = _setting(ctx, "sample_per_cohort", sample_per_cohort)
-    draws = _setting(ctx, "draws", draws, 1)
-    cache_dir = _setting(ctx, "cache_dir", cache_dir)
-    base_url = _setting(ctx, "base_url", base_url)
-    out = _out_dir(ctx, out_dir)
+    out = _out_dir(out_dir)
 
     plist = resolve_list(list_spec)
     gateway = _build_gateway(backend, plist, mock_rules, base_url, cache_dir)
@@ -367,31 +415,64 @@ def _build_gateway(backend, plist, mock_rules, base_url, cache_dir) -> LlmGatewa
 
 
 # ---------------------------------------------------------------------------
+# Artifact writers shared by stats, cluster, pca and report
+
+
+def _stats_artifacts(report, out: Path, provenance: dict) -> str:
+    """Write stats_report.csv and stats_report.txt; return the text table."""
+    stats.write_stats_csv(report, out / "stats_report.csv", provenance)
+    text = stats.format_stats_table(report)
+    (out / "stats_report.txt").write_text(text, encoding="utf-8")
+    return text
+
+
+def _cluster_artifacts(matrix, pairs, out: Path, provenance: dict, **kmeans) -> str:
+    """Cluster at each (k, scheme) pair, write clustering_report.json and .txt; return the text."""
+    reports = [
+        evaluate_clustering(matrix, k, label_scheme=scheme, list_id=provenance["list_id"], **kmeans)
+        for k, scheme in pairs
+    ]
+    write_clustering_report(reports, out / "clustering_report.json", provenance)
+    lines = [f"{'setting':<28}{'ARI':>8}{'NMI':>8}{'FMI':>8}  cluster sizes"]
+    for r in reports:
+        name = f"k={r.k} {r.label_scheme}"
+        sizes = "/".join(str(s) for s in r.cluster_sizes)
+        lines.append(f"{name:<28}{r.ari:>8.3f}{r.nmi:>8.3f}{r.fmi:>8.3f}  {sizes}")
+    text = "\n".join(lines) + "\n"
+    (out / "clustering_report.txt").write_text(text, encoding="utf-8")
+    return text
+
+
+def _pca_artifacts(matrix, out: Path, provenance: dict):
+    """Project the matrix, write pca_scatter.csv and pca_scatter.svg; return the projection."""
+    projection = pca.pca_project(matrix)
+    pca.write_pca_csv(projection, matrix.note_ids, matrix.cohorts, out / "pca_scatter.csv", provenance)
+    figures.write_pca_svg(projection, matrix.cohorts, out / "pca_scatter.svg", provenance)
+    return projection
+
+
+# ---------------------------------------------------------------------------
 # stats
 
 
 @main.command("stats")
-@click.option("--matrix", "matrix_path", type=click.Path(exists=True, dir_okay=False), default=None)
+@click.option("--matrix", "matrix_path", type=EXISTING_FILE)
 @click.option(
     "--fixture",
     "fixture_paths",
-    type=click.Path(exists=True, dir_okay=False),
+    type=EXISTING_FILE,
     multiple=True,
-    help="Counts fixture CSV (repeatable). 'builtin' loads the bundled fixtures.",
+    help="Counts fixture CSV (repeatable); --builtin-fixtures selects the bundled ones.",
 )
-@click.option("--builtin-fixtures", is_flag=True, default=False, help="Use the bundled count fixtures.")
-@click.option("--granularity", type=click.Choice(["category", "phenotype"]), default=None)
-@click.option("--yates", type=click.Choice(["auto", "on", "off"]), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=None)
-@click.pass_context
+@click.option("--builtin-fixtures", is_flag=True, help="Use the bundled count fixtures.")
+@click.option("--granularity", type=click.Choice(["category", "phenotype"]), default="category")
+@yates_option
+@seed_option
+@out_dir_option
 @guarded
-def stats_cmd(ctx, matrix_path, fixture_paths, builtin_fixtures, granularity, yates, seed, out_dir):
+def stats_cmd(matrix_path, fixture_paths, builtin_fixtures, granularity, yates, seed, out_dir):
     """Chi-square presence/absence tests per category across cohorts."""
-    seed = _setting(ctx, "seed", seed, 0)
-    granularity = _setting(ctx, "granularity", granularity, "category")
-    yates = _setting(ctx, "yates", yates, "auto")
-    out = _out_dir(ctx, out_dir)
+    out = _out_dir(out_dir)
     paths = [Path(p) for p in fixture_paths]
     if builtin_fixtures:
         paths = [data_path("counts_list1.csv"), data_path("counts_list2.csv")]
@@ -403,21 +484,18 @@ def stats_cmd(ctx, matrix_path, fixture_paths, builtin_fixtures, granularity, ya
             counts.extend(stats.load_counts_fixture(p))
         report = stats.analyze_fixture(counts, yates=yates)
         source = ",".join(str(p) for p in paths)
-        list_id = ",".join(sorted({c.list_id for c in counts}))
+        list_id = _list_ids(counts)
     else:
         matrix = FeatureMatrix.from_csv(matrix_path)
         report = stats.analyze_matrix(matrix, yates=yates, granularity=granularity)
         source = str(matrix_path)
-        list_id = ",".join(sorted({c.list_id for c in matrix.columns}))
+        list_id = _list_ids(matrix.columns)
     provenance = _provenance(
         {"command": "stats", "source": source, "granularity": granularity, "yates": yates},
         seed,
         list_id,
     )
-    stats.write_stats_csv(report, out / "stats_report.csv", provenance)
-    text = stats.format_stats_table(report)
-    (out / "stats_report.txt").write_text(text, encoding="utf-8")
-    click.echo(text.rstrip())
+    click.echo(_stats_artifacts(report, out, provenance).rstrip())
 
 
 # ---------------------------------------------------------------------------
@@ -435,71 +513,32 @@ def _parse_setting(raw: str) -> tuple:
     return k, scheme
 
 
-def _format_cluster_table(reports: "list[ClusteringReport]") -> str:
-    header = f"{'setting':<28}{'ARI':>8}{'NMI':>8}{'FMI':>8}  cluster sizes"
-    lines = [header]
-    for r in reports:
-        name = f"k={r.k} {r.label_scheme}"
-        sizes = "/".join(str(s) for s in r.cluster_sizes)
-        lines.append(f"{name:<28}{r.ari:>8.3f}{r.nmi:>8.3f}{r.fmi:>8.3f}  {sizes}")
-    return "\n".join(lines) + "\n"
-
-
 @main.command("cluster")
-@click.option("--matrix", "matrix_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@matrix_option
 @click.option(
     "--setting",
     "settings_raw",
     multiple=True,
     help="K:SCHEME pair, repeatable (default: 2:collapsed_patient and 3:three_way).",
 )
-@click.option("--restarts", type=int, default=None)
-@click.option("--max-iter", type=int, default=None)
-@click.option("--tol", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=None)
-@click.pass_context
+@restarts_option
+@click.option("--max-iter", type=click.IntRange(min=1), default=DEFAULT_MAX_ITER)
+@click.option("--tol", type=click.FloatRange(min=0), default=DEFAULT_TOL)
+@seed_option
+@out_dir_option
 @guarded
-def cluster_cmd(ctx, matrix_path, settings_raw, restarts, max_iter, tol, seed, out_dir):
+def cluster_cmd(matrix_path, settings_raw, restarts, max_iter, tol, seed, out_dir):
     """K-means over the feature matrix scored against cohort labels."""
-    seed = _setting(ctx, "seed", seed, 0)
-    restarts = _setting(ctx, "restarts", restarts, 10)
-    max_iter = _setting(ctx, "max_iter", max_iter, 300)
-    tol = _setting(ctx, "tol", tol, 1e-4)
-    out = _out_dir(ctx, out_dir)
-    matrix = FeatureMatrix.from_csv(matrix_path)
-    pairs = [_parse_setting(raw) for raw in settings_raw] or [
-        (2, "collapsed_patient"),
-        (3, "three_way"),
-    ]
-    list_id = ",".join(sorted({c.list_id for c in matrix.columns}))
-    reports = [
-        evaluate_clustering(
-            matrix,
-            k,
-            label_scheme=scheme,
-            seed=seed,
-            restarts=restarts,
-            max_iter=max_iter,
-            tol=tol,
-            list_id=list_id,
-        )
-        for k, scheme in pairs
-    ]
-    provenance = _provenance(
-        {
-            "command": "cluster",
-            "matrix": str(matrix_path),
-            "settings": [f"{k}:{s}" for k, s in pairs],
-            "restarts": restarts,
-        },
-        seed,
-        list_id,
+    out = _out_dir(out_dir)
+    pairs = [_parse_setting(raw) for raw in settings_raw] or DEFAULT_CLUSTER_SETTINGS
+    settings = [f"{k}:{s}" for k, s in pairs]
+    matrix, provenance = _load_matrix(
+        matrix_path, seed, command="cluster", settings=settings, restarts=restarts
     )
-    write_clustering_report(reports, out / "clustering_report.json", provenance)
-    table = _format_cluster_table(reports)
-    (out / "clustering_report.txt").write_text(table, encoding="utf-8")
-    click.echo(table.rstrip())
+    text = _cluster_artifacts(
+        matrix, pairs, out, provenance, seed=seed, restarts=restarts, max_iter=max_iter, tol=tol
+    )
+    click.echo(text.rstrip())
 
 
 # ---------------------------------------------------------------------------
@@ -507,22 +546,15 @@ def cluster_cmd(ctx, matrix_path, settings_raw, restarts, max_iter, tol, seed, o
 
 
 @main.command("pca")
-@click.option("--matrix", "matrix_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=None)
-@click.pass_context
+@matrix_option
+@seed_option
+@out_dir_option
 @guarded
-def pca_cmd(ctx, matrix_path, seed, out_dir):
+def pca_cmd(matrix_path, seed, out_dir):
     """Project the matrix onto two principal components and plot it."""
-    seed = _setting(ctx, "seed", seed, 0)
-    out = _out_dir(ctx, out_dir)
-    matrix = FeatureMatrix.from_csv(matrix_path)
-    list_id = ",".join(sorted({c.list_id for c in matrix.columns}))
-    provenance = _provenance({"command": "pca", "matrix": str(matrix_path)}, seed, list_id)
-    projection = pca.pca_project(matrix)
-    pca.write_pca_csv(projection, matrix.note_ids, matrix.cohorts, out / "pca_scatter.csv", provenance)
-    figures.write_pca_svg(projection, matrix.cohorts, out / "pca_scatter.svg", provenance)
-    r1, r2 = projection.explained_variance_ratio
+    out = _out_dir(out_dir)
+    matrix, provenance = _load_matrix(matrix_path, seed, command="pca")
+    r1, r2 = _pca_artifacts(matrix, out, provenance).explained_variance_ratio
     click.echo(
         f"pca: {out / 'pca_scatter.svg'} (PC1 {r1 * 100:.1f}%, PC2 {r2 * 100:.1f}% of variance)"
     )
@@ -534,20 +566,18 @@ def pca_cmd(ctx, matrix_path, seed, out_dir):
 
 @main.command("baseline")
 @click.option("--method", type=click.Choice(["dictionary", "ner"]), required=True)
-@click.option("--notes", "notes_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--terms", "terms_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--annotations", "annotations_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--manifest", "manifest_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--min-term-length", type=int, default=None)
-@click.option("--min-doc-freq", type=int, default=None)
-@click.option("--similarity-threshold", type=float, default=None)
-@click.option("--min-score", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=None)
-@click.pass_context
+@click.option("--notes", "notes_path", type=EXISTING_FILE)
+@click.option("--terms", "terms_path", type=EXISTING_FILE)
+@click.option("--annotations", "annotations_path", type=EXISTING_FILE)
+@click.option("--manifest", "manifest_path", type=EXISTING_FILE)
+@click.option("--min-term-length", type=int, default=4)
+@click.option("--min-doc-freq", type=click.IntRange(min=0), default=50)
+@click.option("--similarity-threshold", type=click.FloatRange(0, 1, min_open=True), default=1.0)
+@click.option("--min-score", type=float, default=0.8)
+@seed_option
+@out_dir_option
 @guarded
 def baseline_cmd(
-    ctx,
     method,
     notes_path,
     terms_path,
@@ -561,15 +591,11 @@ def baseline_cmd(
     out_dir,
 ):
     """Dictionary matching or NER-ingestion baseline feature matrices."""
-    seed = _setting(ctx, "seed", seed, 0)
-    out = _out_dir(ctx, out_dir)
+    out = _out_dir(out_dir)
     cohort_of = cohort_mod.load_manifest(manifest_path).cohort_of() if manifest_path else {}
     if method == "dictionary":
         if not notes_path or not terms_path:
             raise ConfigError("dictionary baseline needs --notes and --terms")
-        min_term_length = _setting(ctx, "min_term_length", min_term_length, 4)
-        min_doc_freq = _setting(ctx, "min_doc_freq", min_doc_freq, 50)
-        similarity_threshold = _setting(ctx, "similarity_threshold", similarity_threshold, 1.0)
         notes = cohort_mod.load_notes(notes_path)
         if cohort_of:
             notes = [
@@ -593,7 +619,6 @@ def baseline_cmd(
     else:
         if not annotations_path:
             raise ConfigError("ner baseline needs --annotations")
-        min_score = _setting(ctx, "min_score", min_score, 0.8)
         matrix = baselines_mod.ingest_ner_annotations(annotations_path, min_score=min_score)
         if cohort_of:
             matrix = baselines_mod.attach_cohorts(matrix, cohort_of)
@@ -614,60 +639,28 @@ def baseline_cmd(
 
 
 @main.command("report")
-@click.option("--matrix", "matrix_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--yates", type=click.Choice(["auto", "on", "off"]), default=None)
-@click.option("--restarts", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=None)
-@click.pass_context
+@matrix_option
+@yates_option
+@restarts_option
+@seed_option
+@out_dir_option
 @guarded
-def report_cmd(ctx, matrix_path, yates, restarts, seed, out_dir):
+def report_cmd(matrix_path, yates, restarts, seed, out_dir):
     """Stats, clustering, and PCA artifacts from one matrix, plus a summary."""
-    seed = _setting(ctx, "seed", seed, 0)
-    yates = _setting(ctx, "yates", yates, "auto")
-    restarts = _setting(ctx, "restarts", restarts, 10)
-    out = _out_dir(ctx, out_dir)
-    matrix = FeatureMatrix.from_csv(matrix_path)
-    list_id = ",".join(sorted({c.list_id for c in matrix.columns}))
-    provenance = _provenance(
-        {"command": "report", "matrix": str(matrix_path), "yates": yates}, seed, list_id
+    out = _out_dir(out_dir)
+    matrix, provenance = _load_matrix(matrix_path, seed, command="report", yates=yates)
+    stats_text = _stats_artifacts(stats.analyze_matrix(matrix, yates=yates), out, provenance)
+    cluster_text = _cluster_artifacts(
+        matrix, DEFAULT_CLUSTER_SETTINGS, out, provenance, seed=seed, restarts=restarts
     )
-
-    stats_report = stats.analyze_matrix(matrix, yates=yates)
-    stats.write_stats_csv(stats_report, out / "stats_report.csv", provenance)
-    stats_text = stats.format_stats_table(stats_report)
-    (out / "stats_report.txt").write_text(stats_text, encoding="utf-8")
-
-    cluster_reports = [
-        evaluate_clustering(
-            matrix, 2, label_scheme="collapsed_patient", seed=seed, restarts=restarts, list_id=list_id
-        ),
-        evaluate_clustering(
-            matrix, 3, label_scheme="three_way", seed=seed, restarts=restarts, list_id=list_id
-        ),
-    ]
-    write_clustering_report(cluster_reports, out / "clustering_report.json", provenance)
-    cluster_text = _format_cluster_table(cluster_reports)
-    (out / "clustering_report.txt").write_text(cluster_text, encoding="utf-8")
-
-    projection = pca.pca_project(matrix)
-    pca.write_pca_csv(projection, matrix.note_ids, matrix.cohorts, out / "pca_scatter.csv", provenance)
-    figures.write_pca_svg(projection, matrix.cohorts, out / "pca_scatter.svg", provenance)
-
+    _pca_artifacts(matrix, out, provenance)
     summary = (
         f"rows: {matrix.shape[0]}  columns: {matrix.shape[1]}\n"
-        f"cohorts: {dict(sorted(_tally(matrix.cohorts).items()))}\n\n"
+        f"cohorts: {dict(sorted(Counter(matrix.cohorts).items()))}\n\n"
         f"{stats_text}\n{cluster_text}"
     )
     (out / "summary.txt").write_text(summary, encoding="utf-8")
     click.echo(summary.rstrip())
-
-
-def _tally(values) -> dict:
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +668,11 @@ def _tally(values) -> dict:
 
 
 @main.command("export-defaults")
-@click.option("--out-dir", type=click.Path(file_okay=False), default=None)
-@click.pass_context
+@out_dir_option
 @guarded
-def export_defaults_cmd(ctx, out_dir):
+def export_defaults_cmd(out_dir):
     """Write the bundled vocabularies, fixtures, demo corpus, and templates."""
-    out = _out_dir(ctx, out_dir)
+    out = _out_dir(out_dir)
     for name in _DATA_FILES:
         (out / name).write_bytes(data_path(name).read_bytes())
     combined = builtin_list("combined")

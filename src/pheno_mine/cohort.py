@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .artifacts import csv_artifact, read_csv_lines
 from .errors import CohortError
 
 logger = logging.getLogger(__name__)
@@ -287,22 +288,15 @@ def load_notes(path: str | Path) -> "list[NoteRecord]":
 
 
 def write_manifest(manifest: CohortManifest, path: str | Path, provenance: dict | None = None):
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        if provenance:
-            fh.write(f"# provenance: {json.dumps(provenance, sort_keys=True)}\n")
-        writer = csv.writer(fh)
+    with csv_artifact(path, provenance) as writer:
         writer.writerow(["note_id", "patient_id", "cohort"])
         for e in manifest.entries:
             writer.writerow([e.note_id, e.patient_id, e.cohort])
 
 
 def load_manifest(path: str | Path) -> CohortManifest:
-    path = Path(path)
     entries = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
+    reader = csv.DictReader(read_csv_lines(path))
     if reader.fieldnames is None or not {"note_id", "patient_id", "cohort"}.issubset(
         reader.fieldnames
     ):

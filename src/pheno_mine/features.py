@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import csv_artifact, read_csv_lines
 from .errors import MatrixError
 from .schema import FeatureColumn, parse_column_key
 
@@ -59,21 +59,14 @@ class FeatureMatrix:
         return np.array([i for i, c in enumerate(self.cohorts) if c == cohort], dtype=int)
 
     def to_csv(self, path: str | Path, provenance: dict | None = None):
-        path = Path(path)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            if provenance:
-                fh.write(f"# provenance: {json.dumps(provenance, sort_keys=True)}\n")
-            writer = csv.writer(fh)
+        with csv_artifact(path, provenance) as writer:
             writer.writerow(["note_id", "cohort"] + self.column_keys)
             for i, note_id in enumerate(self.note_ids):
                 writer.writerow([note_id, self.cohorts[i]] + self.data[i].tolist())
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureMatrix":
-        path = Path(path)
-        with path.open(newline="", encoding="utf-8") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
-        reader = csv.reader(lines)
+        reader = csv.reader(read_csv_lines(path))
         try:
             header = next(reader)
         except StopIteration:

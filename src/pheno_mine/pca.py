@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import csv_artifact
 from .errors import ParameterError
 from .features import FeatureMatrix
 
@@ -89,11 +88,7 @@ def write_pca_csv(
     path: str | Path,
     provenance: dict | None = None,
 ):
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        if provenance:
-            fh.write(f"# provenance: {json.dumps(provenance, sort_keys=True)}\n")
-        writer = csv.writer(fh)
+    with csv_artifact(path, provenance) as writer:
         writer.writerow(["note_id", "cohort", "pc1", "pc2"])
         for i, note_id in enumerate(note_ids):
             writer.writerow(

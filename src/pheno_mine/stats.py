@@ -9,12 +9,12 @@ tables with the Yates continuity correction.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .artifacts import csv_artifact
 from .errors import DegenerateTableError, ParameterError, StatsError
 from .features import FeatureMatrix
 
@@ -446,11 +446,7 @@ def format_stats_table(report: StatsReport) -> str:
 
 
 def write_stats_csv(report: StatsReport, path: str | Path, provenance: dict | None = None):
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        if provenance:
-            fh.write(f"# provenance: {json.dumps(provenance, sort_keys=True)}\n")
-        writer = csv.writer(fh)
+    with csv_artifact(path, provenance) as writer:
         writer.writerow(
             ["list", "category", "comparison", "statistic", "df", "p_value", "yates", "stars"]
         )

@@ -183,6 +183,75 @@ def test_extract_rejects_bad_config_counts_before_artifacts(runner, tmp_path):
         assert not out.exists() or not list(out.iterdir())
 
 
+TERMS = str(data_path("demo_terms.csv"))
+EXTRACT = ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES]
+DICTIONARY = ["baseline", "--method", "dictionary", "--notes", NOTES, "--terms", TERMS]
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        (EXTRACT, "temperature", "0.5"),
+        (EXTRACT, "draws", "2"),
+        (EXTRACT, "sample_per_cohort", "3"),
+        (EXTRACT, "list", 5),
+        (EXTRACT, "model", 5),
+        (EXTRACT, "backend", "bogus"),
+        (EXTRACT, "per_patient", 1),
+        (["cohort", "--notes", NOTES, "--diagnoses", DIAGNOSES], "seed", "x"),
+        (["cohort", "--notes", NOTES, "--diagnoses", DIAGNOSES], "seed", -1),
+        (["cluster", "--matrix", "MATRIX"], "restarts", "10"),
+        (["cluster", "--matrix", "MATRIX"], "tol", "0.1"),
+        (["cluster", "--matrix", "MATRIX"], "setting", "2:three_way"),
+        (["report", "--matrix", "MATRIX"], "restarts", 0),
+        (DICTIONARY, "min_score", "0.8"),
+        (DICTIONARY, "similarity_threshold", "0.8"),
+        (DICTIONARY, "similarity_threshold", 0),
+        (DICTIONARY, "min_doc_freq", "2"),
+        (["stats"], "fixture", ["absent.csv"]),
+    ],
+)
+def test_bad_config_value_is_one_line_before_artifacts(runner, extracted, tmp_path, command, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    args = [str(extracted) if a == "MATRIX" else a for a in command]
+    result = runner.invoke(main, ["--config", str(config), *args, "--out-dir", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: {key}") and result.stderr.count("\n") == 1
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["report", "--restarts", "0"], ["cluster", "--seed", "-1"]],
+)
+def test_bad_flag_value_is_a_usage_error_before_artifacts(runner, extracted, tmp_path, command):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*command, "--matrix", str(extracted), "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output + result.stderr
+    assert f"Invalid value for '{command[1]}'" in result.stderr
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_config_file_gives_the_artifacts_of_equivalent_flags(runner, tmp_path):
+    flags = ["--list", "list1", "--mode", "few_shot", "--chunk-budget", 40, "--per-patient", "--seed", 4]
+    invoke(runner, *EXTRACT, *flags, "--out-dir", tmp_path / "flags")
+    config = tmp_path / "config.json"
+    # an integer given for a float option is taken as the float a flag would give
+    config.write_text(json.dumps(
+        {"list": "list1", "mode": "few_shot", "chunk_budget": 40, "per_patient": True, "seed": 4,
+         "temperature": 0, "out_dir": str(tmp_path / "config")}
+    ))
+    invoke(runner, "--config", config, *EXTRACT)
+    for name in ("feature_matrix.csv", "feature_matrix_patients.csv", "manifest.csv"):
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "config" / name).read_bytes()
+    reports = [json.loads((tmp_path / d / "run_report.json").read_text()) for d in ("flags", "config")]
+    assert reports[0]["provenance"] == reports[1]["provenance"]
+
+
 def test_extract_unreachable_endpoint_fails_before_artifacts(runner, tmp_path):
     out = tmp_path / "noart"
     result = runner.invoke(
