@@ -11,6 +11,7 @@ import csv
 import json
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,27 +126,72 @@ def _note_concepts_exact(tokens: list, dictionary: ConceptDictionary, max_n: int
     return found
 
 
-def _note_concepts_jaccard(
-    tokens: list, dictionary: ConceptDictionary, max_n: int, threshold: float
-) -> set:
-    term_sets = [(frozenset(term.split()), concept) for term, concept in dictionary.terms.items()]
-    found: set[str] = set()
-    seen_grams: set[frozenset] = set()
-    for n in range(1, max_n + 1):
-        for i in range(len(tokens) - n + 1):
-            gram_set = frozenset(tokens[i : i + n])
-            if gram_set in seen_grams:
-                continue
-            seen_grams.add(gram_set)
-            for term_set, concept in term_sets:
-                if concept in found:
+def _min_overlap(size: int, threshold: float) -> int:
+    """The smallest k with ``k / size >= threshold``, by the match test's own float division.
+
+    A gram and a term that match share at least this many tokens for either
+    one's size, since ``overlap / union <= overlap / size`` holds after
+    rounding too. Terminates because ``size / size`` is 1.0.
+    """
+    return next(k for k in range(1, size + 1) if k / size >= threshold)
+
+
+class _JaccardIndex:
+    """Token-set Jaccard matching against a dictionary through an inverted index.
+
+    Tokens are ranked by ascending dictionary frequency, ties broken by the
+    token; a token in no term ranks below all others. A gram and a term with
+    ``overlap >= k`` share their lowest-ranked common token inside each one's
+    first ``size - k + 1`` tokens (prefix filtering), so each term is indexed
+    under that prefix only and a gram probes with its own prefix. Candidates
+    then pass the size filter and the exact Jaccard test, and the matches are
+    exactly those of comparing every gram with every term.
+    """
+
+    def __init__(self, dictionary: ConceptDictionary, threshold: float):
+        self.threshold = threshold
+        term_sets = [(frozenset(term.split()), c) for term, c in dictionary.terms.items()]
+        frequency = Counter(token for term_set, _ in term_sets for token in term_set)
+        ordered = sorted(frequency, key=lambda token: (frequency[token], token))
+        self.rank = {token: position for position, token in enumerate(ordered)}
+        self.postings: dict[str, list] = {}
+        for term_set, concept in term_sets:
+            size = len(term_set)
+            if not size:
+                continue  # an empty token set has Jaccard 0 with every gram
+            by_rank = sorted(term_set, key=self.rank.__getitem__)
+            for token in by_rank[: size - _min_overlap(size, threshold) + 1]:
+                self.postings.setdefault(token, []).append((size, term_set, concept))
+        # probe length by gram set size; a gram has at most MAX_NGRAM distinct tokens
+        self.gram_prefix = [0] + [
+            n - _min_overlap(n, threshold) + 1 for n in range(1, MAX_NGRAM + 1)
+        ]
+
+    def note_concepts(self, tokens: list) -> set:
+        """Concepts with a term at Jaccard >= threshold to some n-gram (n <= 5) of ``tokens``."""
+        threshold = self.threshold
+        rank = self.rank.get
+        postings = self.postings
+        gram_prefix = self.gram_prefix
+        found: set[str] = set()
+        seen_grams: set[frozenset] = set()
+        for n in range(1, MAX_NGRAM + 1):
+            for i in range(len(tokens) - n + 1):
+                gram_set = frozenset(tokens[i : i + n])
+                if gram_set in seen_grams:
                     continue
-                union = len(gram_set | term_set)
-                if union == 0:
-                    continue
-                if len(gram_set & term_set) / union >= threshold:
-                    found.add(concept)
-    return found
+                seen_grams.add(gram_set)
+                size = len(gram_set)
+                by_rank = sorted(gram_set, key=lambda token: rank(token, -1))
+                for token in by_rank[: gram_prefix[size]]:
+                    for term_size, term_set, concept in postings.get(token, ()):
+                        if concept in found:
+                            continue
+                        if min(size, term_size) / max(size, term_size) < threshold:
+                            continue
+                        if len(gram_set & term_set) / len(gram_set | term_set) >= threshold:
+                            found.add(concept)
+        return found
 
 
 def extract_dictionary_features(
@@ -172,13 +218,14 @@ def extract_dictionary_features(
     # Exact matching cannot match grams longer than the longest term, so the
     # window can shrink; Jaccard mode must scan the full n <= 5 range.
     exact_max_n = min(MAX_NGRAM, dictionary.max_term_tokens)
+    index = _JaccardIndex(dictionary, similarity_threshold) if similarity_threshold < 1.0 else None
     hits_per_note: list[set] = []
     for note in notes:
         tokens = _tokenize(note.text)
-        if similarity_threshold == 1.0:
+        if index is None:
             found = _note_concepts_exact(tokens, dictionary, exact_max_n)
         else:
-            found = _note_concepts_jaccard(tokens, dictionary, MAX_NGRAM, similarity_threshold)
+            found = index.note_concepts(tokens)
         hits_per_note.append(found)
     frequency: dict[str, int] = {}
     for found in hits_per_note:

@@ -124,19 +124,33 @@ def _config_value(param, key: str, value):
         raise ConfigError(f"{key} must be {words}, got {value!r}") from None
 
 
-def _config_defaults(config_path, command) -> dict:
-    """``--config`` entries for the options of ``command`` (long name, underscores for dashes)."""
+def _config_key(param) -> str:
+    """The config key of an option: its long name, underscores for dashes."""
+    return max(param.opts, key=len).lstrip("-").replace("-", "_")
+
+
+def _config_defaults(config_path, group, command) -> dict:
+    """``--config`` entries for the options of ``command``.
+
+    One file serves every command, so a key of another command's option is
+    ignored; a key that names no option of any command, nor of ``group``, is
+    an error.
+    """
     try:
         doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{config_path}: invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{config_path}: config must be a JSON object")
+    known = {_config_key(p) for cmd in [group, *group.commands.values()] for p in cmd.params}
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{key} names no option of any command")
     values = {}
     for param in command.params:
-        key = max(param.opts, key=len).lstrip("-").replace("-", "_")
+        key = _config_key(param)
         if key not in doc:
-            continue  # keys that name no option of the command are ignored
+            continue
         value = doc[key]
         if not param.multiple:
             values[param.name] = _config_value(param, key, value)
@@ -199,7 +213,7 @@ def main(ctx, config_path, seed, out_dir, verbose):
         format="%(levelname)s %(name)s: %(message)s",
     )
     command = main.get_command(ctx, ctx.invoked_subcommand)
-    defaults = _config_defaults(config_path, command) if config_path else {}
+    defaults = _config_defaults(config_path, ctx.command, command) if config_path else {}
     # Group flags beat config entries; the subcommand's own flags beat both.
     if seed is not None:
         defaults["seed"] = seed

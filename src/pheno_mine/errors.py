@@ -30,7 +30,14 @@ class BackendError(PhenoMineError):
 
 
 class TransientBackendError(PhenoMineError):
-    """A backend failure worth retrying (timeouts, 429, 5xx)."""
+    """A backend failure worth retrying (timeouts, 429, 5xx).
+
+    ``retry_after`` is the wait in seconds the server asked for, if it gave one.
+    """
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class ProtocolError(PhenoMineError):

@@ -2,7 +2,8 @@
 
 Every extraction call goes through ``LlmGateway.complete``, which consults a
 content-addressed on-disk cache first and retries transient backend failures
-with exponential backoff. ``complete_stream`` fans a stream of requests out
+with exponential backoff, waiting longer when a 429 or 5xx response's
+``Retry-After`` asks for it. ``complete_stream`` fans a stream of requests out
 with a bounded number in flight and yields each result, or its failure, in
 input order.
 """
@@ -219,7 +220,12 @@ class HttpChatBackend:
         except (requests.Timeout, requests.ConnectionError) as exc:
             raise TransientBackendError(f"request to {self.url} failed: {exc}") from exc
         if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientBackendError(f"HTTP {resp.status_code} from {self.url}")
+            # only the delta-seconds form; an HTTP-date keeps the usual backoff
+            header = resp.headers.get("Retry-After", "").strip()
+            raise TransientBackendError(
+                f"HTTP {resp.status_code} from {self.url}",
+                retry_after=float(header) if header.isascii() and header.isdigit() else None,
+            )
         if resp.status_code >= 400:
             raise BackendError(f"HTTP {resp.status_code} from {self.url}: {resp.text[:200]}")
         try:
@@ -346,7 +352,7 @@ class LlmGateway:
             except TransientBackendError as exc:
                 last_error = exc
                 if attempt < self.max_attempts:
-                    delay = self.backoff_base * (2 ** (attempt - 1))
+                    delay = max(self.backoff_base * (2 ** (attempt - 1)), exc.retry_after or 0.0)
                     logger.warning(
                         "transient backend failure (attempt %d/%d): %s; retrying in %.1fs",
                         attempt,

@@ -249,3 +249,29 @@ def pack_chunks_oracle(sentences: list, budget: int, note_id: str = "", hard_lim
         current.append(sentence)
     flush()
     return chunks
+
+
+# ---------------------------------------------------------------------------
+# dictionary matching, every n-gram against every term
+
+
+def note_concepts_jaccard_oracle(tokens: list, terms: dict, max_n: int, threshold: float) -> set:
+    """Concepts with a term at token-set Jaccard >= threshold to some n-gram (n <= max_n)."""
+    term_sets = [(frozenset(term.split()), concept) for term, concept in terms.items()]
+    found = set()
+    seen_grams = set()
+    for n in range(1, max_n + 1):
+        for i in range(len(tokens) - n + 1):
+            gram_set = frozenset(tokens[i : i + n])
+            if gram_set in seen_grams:
+                continue
+            seen_grams.add(gram_set)
+            for term_set, concept in term_sets:
+                if concept in found:
+                    continue
+                union = len(gram_set | term_set)
+                if union == 0:
+                    continue
+                if len(gram_set & term_set) / union >= threshold:
+                    found.add(concept)
+    return found

@@ -2,10 +2,15 @@
 
 import json
 import logging
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pheno_mine import baselines
 from pheno_mine.baselines import (
+    ConceptDictionary,
     attach_cohorts,
     build_dictionary,
     extract_dictionary_features,
@@ -14,6 +19,8 @@ from pheno_mine.baselines import (
 )
 from pheno_mine.cohort import NoteRecord, UNLABELED
 from pheno_mine.errors import BaselineError, ParameterError
+
+from oracles import note_concepts_jaccard_oracle
 
 
 def note(note_id: str, text: str, cohort: str = "CN") -> NoteRecord:
@@ -192,6 +199,65 @@ def test_exact_matching_equals_token_boundary_oracle(tmp_path):
             j = concept_of.get(concept)
             got = int(matrix.data[i, j]) if j is not None else 0
             assert got == expected, (record.note_id, term)
+
+
+# a small alphabet makes overlaps common; x0 and x1 occur in no term
+TERM_TOKENS = [f"t{i}" for i in range(10)]
+thresholds = st.one_of(
+    st.integers(1, 10).map(lambda k: k / 10),
+    st.sampled_from([1 / 3, 2 / 3]),
+    # every ratio a gram of <= 5 and a term of <= 10 tokens can reach, so
+    # some term sits exactly at the threshold
+    st.tuples(st.integers(1, 15), st.integers(1, 15)).map(lambda p: min(p) / max(p)),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+term_dictionaries = st.dictionaries(
+    st.lists(st.sampled_from(TERM_TOKENS), min_size=1, max_size=10).map(" ".join),
+    st.sampled_from(["C0", "C1", "C2", "C3", "C4"]),
+    max_size=12,
+)
+note_tokens = st.lists(st.sampled_from(TERM_TOKENS + ["x0", "x1"]), max_size=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(terms=term_dictionaries, notes=st.lists(note_tokens, max_size=4), threshold=thresholds)
+def test_jaccard_index_equals_all_pairs_oracle(terms, notes, threshold):
+    index = baselines._JaccardIndex(ConceptDictionary(terms=terms, min_term_length=0), threshold)
+    for tokens in notes:
+        expected = note_concepts_jaccard_oracle(tokens, terms, baselines.MAX_NGRAM, threshold)
+        assert index.note_concepts(tokens) == expected
+
+
+def test_jaccard_match_exactly_at_threshold_survives_rounding():
+    # a gram of 3 inside a term of 187 tokens has Jaccard 3 / 187, but
+    # 3 / 187 * 187 > 3 in floats: a size filter or a minimum overlap computed
+    # from t * s would drop this match; the gram's tokens rank last in the term
+    term = " ".join(f"w{i:03d}" for i in range(187))
+    dictionary = ConceptDictionary(terms={term: "C1"}, min_term_length=0)
+    at, above = 3 / 187, math.nextafter(3 / 187, 1.0)
+    for gram in (["w000", "w001", "w002"], ["w184", "w185", "w186"]):
+        assert baselines._JaccardIndex(dictionary, at).note_concepts(gram) == {"C1"}
+        assert baselines._JaccardIndex(dictionary, above).note_concepts(gram) == set()
+
+
+def test_jaccard_index_is_built_once_per_extraction(tmp_path, monkeypatch):
+    built = []
+
+    class CountingIndex(baselines._JaccardIndex):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(baselines, "_JaccardIndex", CountingIndex)
+    dictionary = build_dictionary(write_terms(tmp_path, [("memory loss", "C1")]))
+    for count in (1, 7):
+        built.clear()
+        notes = [note(f"N{i}", "loss of memory") for i in range(count)]
+        extract_dictionary_features(notes, dictionary, min_doc_freq=0, similarity_threshold=0.5)
+        assert len(built) == 1
+    built.clear()
+    extract_dictionary_features(notes, dictionary, min_doc_freq=0)
+    assert built == []  # exact matching needs no index
 
 
 def test_doc_freq_filter_never_changes_surviving_cells(tmp_path):

@@ -224,6 +224,33 @@ def test_bad_config_value_is_one_line_before_artifacts(runner, extracted, tmp_pa
 
 
 @pytest.mark.parametrize(
+    "command, key",
+    [(EXTRACT, "max_inflight"), (DICTIONARY, "threshold"), (["stats"], "Seed")],
+)
+def test_unknown_config_key_is_one_line_before_artifacts(runner, tmp_path, command, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, key: 1}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--config", str(config), *command, "--out-dir", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {key} names no option of any command\n"
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_config_keys_of_other_commands_are_ignored(runner, tmp_path):
+    invoke(runner, *DICTIONARY, "--out-dir", tmp_path / "flags")
+    config = tmp_path / "config.json"
+    # extract, cluster and the group's own options: one file serves every command
+    config.write_text(json.dumps(
+        {"max_in_flight": 3, "restarts": 4, "out_dir": str(tmp_path / "config"), "verbose": False}
+    ))
+    invoke(runner, "--config", config, *DICTIONARY)
+    name = "dictionary_matrix.csv"
+    assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "config" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
     "command",
     [["report", "--restarts", "0"], ["cluster", "--seed", "-1"]],
 )

@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     all_partitions,
@@ -179,6 +181,27 @@ def test_metrics_match_oracles_on_random_label_pairs():
             nmi_oracle(a, b), abs=1e-12
         )
         assert fowlkes_mallows_index(a, b) == pytest.approx(fmi_oracle(a, b), abs=1e-12)
+
+
+@st.composite
+def relabelled_pairs(draw):
+    """Two labellings of one set of points, and the first relabelled by a bijection."""
+    n = draw(st.integers(2, 30))
+    a = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    images = draw(st.permutations(["p", "q", "r", "s", "t", 7, 8, 9]))
+    return a, b, [images[label] for label in a]
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_pairs())
+def test_metrics_are_invariant_under_relabelling(pair):
+    a, b, relabelled = pair
+    for metric in (adjusted_rand_index, normalized_mutual_information, fowlkes_mallows_index):
+        expected = metric(a, b)
+        assert metric(relabelled, b) == expected
+        assert metric(b, relabelled) == metric(b, a)
+        assert metric(relabelled, relabelled) == metric(a, a)
 
 
 def test_metrics_known_values():

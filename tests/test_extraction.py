@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pheno_mine import chunking, cli, extraction
 from pheno_mine.cohort import CohortManifest, ManifestEntry, NoteRecord
@@ -20,6 +22,14 @@ from pheno_mine.chunking import chunk_text
 from pheno_mine.cli import data_path, main
 from pheno_mine.errors import TransientBackendError
 from pheno_mine.gateway import WINDOW_PER_WORKER, LlmGateway
+from pheno_mine.schema import builtin_list
+
+COMBINED = builtin_list("combined")
+CATEGORIES = list(COMBINED.categories)
+# names and aliases of every category, so a response names other categories' ids too
+NAMES = sorted(
+    {name for c in CATEGORIES for p in c.candidates for name in (p.display_name, *p.aliases)}
+)
 
 
 def test_normalize_token():
@@ -51,6 +61,22 @@ def test_parse_response_collects_rejects(list1):
 def test_parse_response_duplicate_tokens_collapse(list1):
     memory = list1.category("Memory Indicators")
     assert parse_response("repeating, repeating, repetition", memory) == {"repeating"}
+
+
+response_texts = st.one_of(
+    st.text(),
+    st.lists(st.one_of(st.sampled_from(NAMES), st.text(max_size=8)), max_size=8).map(", ".join),
+    st.lists(st.sampled_from(NAMES + ["none", "None.", " ", "'"]), max_size=8).map(",".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=response_texts, category=st.sampled_from(CATEGORIES))
+def test_parse_response_never_raises_and_stays_in_its_category(text, category):
+    rejects: list[str] = []
+    ids = parse_response(text, category, rejects)
+    assert ids <= {p.id for p in category.candidates}
+    assert all(isinstance(token, str) and token for token in rejects)
 
 
 def test_plan_requests_is_chunk_by_category(combined):

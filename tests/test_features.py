@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pheno_mine.artifacts import csv_artifact
 from pheno_mine.errors import MatrixError
 from pheno_mine.features import FeatureMatrix
 from pheno_mine.schema import FeatureColumn, feature_index
@@ -96,6 +97,20 @@ def test_csv_roundtrip_without_provenance(tmp_path, combined):
     assert not path.read_text(encoding="utf-8").startswith("#")
     loaded = FeatureMatrix.from_csv(path)
     assert (loaded.data == matrix.data).all()
+
+
+def test_failed_write_leaves_earlier_artifact_untouched(tmp_path, combined):
+    path = tmp_path / "m.csv"
+    for earlier in (None, small_matrix(combined)):
+        if earlier is not None:
+            earlier.to_csv(path, {"run": 1})
+        before = path.read_bytes() if path.exists() else None
+        with pytest.raises(RuntimeError, match="disk gone"):
+            with csv_artifact(path, {"run": 2}) as writer:
+                writer.writerow(["note_id", "cohort"])
+                raise RuntimeError("disk gone")
+        assert (path.read_bytes() if path.exists() else None) == before
+        assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["m.csv"])
 
 
 def test_from_csv_rejects_bad_cells(tmp_path):

@@ -369,6 +369,39 @@ def test_http_429_then_success_via_gateway(scripted_server):
     assert sleeps == [1.0, 2.0]
 
 
+class ScriptedResponse:
+    def __init__(self, status_code, body, headers=None):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self.text = json.dumps(body)
+        self._body = body
+
+    def json(self):
+        return self._body
+
+
+@pytest.mark.parametrize(
+    "retry_after, sleeps",
+    [
+        ("7", [7.0]),
+        (" 7 ", [7.0]),
+        ("0", [1.0]),  # shorter than the backoff
+        ("Wed, 21 Oct 2015 07:28:00 GMT", [1.0]),
+        ("1.5", [1.0]),  # delta-seconds are whole
+    ],
+)
+def test_http_429_waits_for_delta_seconds_retry_after(retry_after, sleeps):
+    responses = [
+        ScriptedResponse(429, {"error": "slow down"}, {"Retry-After": retry_after}),
+        ScriptedResponse(200, completion_body("recovered")),
+    ]
+    backend = HttpChatBackend("http://127.0.0.1:1", post=lambda *a, **k: responses.pop(0))
+    slept = []
+    gateway = LlmGateway(backend, sleep=slept.append)
+    assert gateway.complete(CompletionRequest(prompt="p")).text == "recovered"
+    assert slept == sleeps
+
+
 def test_http_500_is_transient(scripted_server):
     base_url, handler = scripted_server
     handler.script = [(503, "overloaded")]
