@@ -17,6 +17,7 @@ import click
 from . import baselines as baselines_mod
 from . import cohort as cohort_mod
 from . import extraction, figures, pca, stats
+from .artifacts import write_json, write_text
 from .chunking import DEFAULT_CHUNK_BUDGET
 from .clustering import (
     DEFAULT_MAX_ITER,
@@ -134,7 +135,7 @@ def _config_defaults(config_path, group, command) -> dict:
 
     One file serves every command, so a key of another command's option is
     ignored; a key that names no option of any command, nor of ``group``, is
-    an error.
+    an error. The group's own options apply too, except ``config`` itself.
     """
     try:
         doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
@@ -146,8 +147,10 @@ def _config_defaults(config_path, group, command) -> dict:
     for key in doc:
         if key not in known:
             raise ConfigError(f"{key} names no option of any command")
+    if "config" in doc:
+        raise ConfigError("config cannot be set inside a config file")
     values = {}
-    for param in command.params:
+    for param in [*group.params, *command.params]:
         key = _config_key(param)
         if key not in doc:
             continue
@@ -208,12 +211,12 @@ def main(ctx, config_path, seed, out_dir, verbose):
     mock), builds binary feature matrices, and validates them with cohort
     chi-square statistics, k-means clustering, PCA figures, and baselines.
     """
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     command = main.get_command(ctx, ctx.invoked_subcommand)
     defaults = _config_defaults(config_path, ctx.command, command) if config_path else {}
+    verbose = verbose or defaults.pop("verbose", False)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # apart from basicConfig, which changes nothing once the root logger has a handler
+    logging.getLogger().setLevel(logging.DEBUG if verbose else logging.WARNING)
     # Group flags beat config entries; the subcommand's own flags beat both.
     if seed is not None:
         defaults["seed"] = seed
@@ -399,9 +402,7 @@ def extract_cmd(
         "note_token_estimate": sum(p.estimated_tokens for p in profiles),
         "elapsed_seconds": round(elapsed, 3),
     }
-    (out / "run_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "run_report.json", report)
     click.echo(
         f"matrix: {out / 'feature_matrix.csv'} ({matrix.shape[0]} notes x "
         f"{matrix.shape[1]} phenotypes, {failure_count} failed completions)"
@@ -436,7 +437,7 @@ def _stats_artifacts(report, out: Path, provenance: dict) -> str:
     """Write stats_report.csv and stats_report.txt; return the text table."""
     stats.write_stats_csv(report, out / "stats_report.csv", provenance)
     text = stats.format_stats_table(report)
-    (out / "stats_report.txt").write_text(text, encoding="utf-8")
+    write_text(out / "stats_report.txt", text)
     return text
 
 
@@ -453,7 +454,7 @@ def _cluster_artifacts(matrix, pairs, out: Path, provenance: dict, **kmeans) -> 
         sizes = "/".join(str(s) for s in r.cluster_sizes)
         lines.append(f"{name:<28}{r.ari:>8.3f}{r.nmi:>8.3f}{r.fmi:>8.3f}  {sizes}")
     text = "\n".join(lines) + "\n"
-    (out / "clustering_report.txt").write_text(text, encoding="utf-8")
+    write_text(out / "clustering_report.txt", text)
     return text
 
 
@@ -673,7 +674,7 @@ def report_cmd(matrix_path, yates, restarts, seed, out_dir):
         f"cohorts: {dict(sorted(Counter(matrix.cohorts).items()))}\n\n"
         f"{stats_text}\n{cluster_text}"
     )
-    (out / "summary.txt").write_text(summary, encoding="utf-8")
+    write_text(out / "summary.txt", summary)
     click.echo(summary.rstrip())
 
 
@@ -688,11 +689,8 @@ def export_defaults_cmd(out_dir):
     """Write the bundled vocabularies, fixtures, demo corpus, and templates."""
     out = _out_dir(out_dir)
     for name in _DATA_FILES:
-        (out / name).write_bytes(data_path(name).read_bytes())
-    combined = builtin_list("combined")
-    (out / "combined.json").write_text(
-        json.dumps(to_document(combined), indent=2) + "\n", encoding="utf-8"
-    )
+        write_text(out / name, data_path(name).read_bytes().decode("utf-8"))
+    write_text(out / "combined.json", json.dumps(to_document(builtin_list("combined")), indent=2) + "\n")
     from .prompts import render_few_shot, render_zero_shot
 
     category = builtin_list("list1").category("Comorbidities")
@@ -703,7 +701,7 @@ def export_defaults_cmd(out_dir):
         + render_few_shot(category, "[note text]")
         + "\n"
     )
-    (out / "prompt_templates.txt").write_text(templates, encoding="utf-8")
+    write_text(out / "prompt_templates.txt", templates)
     click.echo(f"wrote {len(_DATA_FILES) + 2} default files to {out}")
 
 

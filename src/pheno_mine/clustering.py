@@ -8,7 +8,6 @@ computations over the label sequences.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import Counter
@@ -17,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import AnalysisError, ParameterError
 from .features import FeatureMatrix
 
@@ -342,10 +342,9 @@ def evaluate_clustering(
 def write_clustering_report(
     reports: "list[ClusteringReport]", path: str | Path, provenance: dict | None = None
 ):
-    path = Path(path)
     document = {
         "runs": [r.to_document() for r in reports],
     }
     if provenance:
         document["provenance"] = provenance
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, document)

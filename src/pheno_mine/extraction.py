@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_file
 from .chunking import DEFAULT_CHUNK_BUDGET, Chunk, chunk_text
 from .cohort import CohortManifest, NoteRecord
 from .errors import MatrixError
@@ -245,19 +246,7 @@ def aggregate_by_patient(matrix: FeatureMatrix, manifest: CohortManifest) -> Fea
 
 
 def write_reject_log(profiles: "list[ExtractionProfile]", path: str | Path):
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_file(path) as fh:
         for profile in profiles:
             for reject in profile.rejects:
-                fh.write(
-                    json.dumps(
-                        {
-                            "note_id": reject.note_id,
-                            "chunk_index": reject.chunk_index,
-                            "category": reject.category,
-                            "token": reject.token,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                fh.write(json.dumps(asdict(reject), sort_keys=True) + "\n")

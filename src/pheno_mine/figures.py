@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .artifacts import write_text
 from .pca import PcaProjection
 
 _PALETTE = ("#4C78A8", "#F58518", "#54A24B", "#E45756", "#72B7B2", "#9D755D")
@@ -115,4 +116,4 @@ def write_pca_svg(
     path: str | Path,
     provenance: dict | None = None,
 ):
-    Path(path).write_text(render_pca_svg(projection, cohorts, provenance), encoding="utf-8")
+    write_text(path, render_pca_svg(projection, cohorts, provenance))

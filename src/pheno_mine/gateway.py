@@ -26,6 +26,7 @@ from urllib.parse import urlparse
 
 import requests
 
+from .artifacts import write_text
 from .errors import (
     BackendError,
     ConfigError,
@@ -243,8 +244,8 @@ class ResponseCache:
     """Content-addressed directory of completion responses.
 
     The key hashes (backend_id, model, temperature, prompt); a hit replays the
-    stored text byte-identically. Writes go through a temp file + rename so a
-    crashed run never leaves a truncated entry.
+    stored text byte-identically. Entries are replaced whole through
+    ``artifacts.write_text``, so a crashed run never leaves a truncated one.
     """
 
     def __init__(self, directory: str | Path | None):
@@ -285,10 +286,6 @@ class ResponseCache:
     def put(self, key: str, text: str, request: CompletionRequest, backend_id: str):
         if not self.directory:
             return
-        path = self.directory / f"{key}.json"
-        # One temp file per writing thread: threads completing the same prompt
-        # would otherwise rename a shared temp file from under each other.
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         doc = {
             "text": text,
             "backend": backend_id,
@@ -296,8 +293,7 @@ class ResponseCache:
             "temperature": request.temperature,
             "prompt_sha256": hashlib.sha256(request.prompt.encode("utf-8")).hexdigest(),
         }
-        tmp.write_text(json.dumps(doc, sort_keys=True, ensure_ascii=False), encoding="utf-8")
-        os.replace(tmp, path)
+        write_text(self.directory / f"{key}.json", json.dumps(doc, sort_keys=True, ensure_ascii=False))
 
 
 class LlmGateway:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour through click's test runner."""
 
 import json
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -209,6 +210,7 @@ DICTIONARY = ["baseline", "--method", "dictionary", "--notes", NOTES, "--terms",
         (DICTIONARY, "similarity_threshold", 0),
         (DICTIONARY, "min_doc_freq", "2"),
         (["stats"], "fixture", ["absent.csv"]),
+        (DICTIONARY, "config", "other.json"),
     ],
 )
 def test_bad_config_value_is_one_line_before_artifacts(runner, extracted, tmp_path, command, key, value):
@@ -248,6 +250,23 @@ def test_config_keys_of_other_commands_are_ignored(runner, tmp_path):
     invoke(runner, "--config", config, *DICTIONARY)
     name = "dictionary_matrix.csv"
     assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "config" / name).read_bytes()
+
+
+def test_config_verbose_logs_what_the_flag_logs(runner, tmp_path, caplog):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"verbose": True}))
+    root = logging.getLogger()
+    level = root.level
+    debug = {}
+    try:
+        for name, group_args in (("quiet", []), ("flag", ["--verbose"]), ("config", ["--config", config])):
+            caplog.clear()
+            invoke(runner, *group_args, *DICTIONARY, "--out-dir", tmp_path / name)
+            debug[name] = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    finally:
+        root.setLevel(level)
+    assert debug["quiet"] == []
+    assert debug["flag"] and debug["config"] == debug["flag"]
 
 
 @pytest.mark.parametrize(
