@@ -5,7 +5,10 @@ from __future__ import annotations
 import logging
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import methodcaller
 
 from .errors import ParameterError
 
@@ -21,8 +24,11 @@ GUARDED_ABBREVIATIONS = frozenset(
 CHARS_PER_TOKEN = 4
 DEFAULT_CHUNK_BUDGET = 2048
 
-# `\s` matches exactly the characters for which str.isspace() is true.
-_CANDIDATE_BOUNDARY = re.compile(r"[.!?]\s+")
+# A candidate boundary in whitespace-normalised text: a space after [.!?] and
+# before an ASCII uppercase letter or digit or any non-ASCII character. The
+# pattern starts at the space so the scan looks behind only at spaces.
+_CANDIDATE_BOUNDARY = re.compile(r" (?<=[.!?] )(?=[A-Z0-9\x80-\U0010ffff])")
+_ENDS_GUARDED = methodcaller("endswith", tuple(GUARDED_ABBREVIATIONS))
 
 
 @dataclass(frozen=True)
@@ -39,44 +45,37 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / CHARS_PER_TOKEN)
 
 
-def _normalize_ws(text: str) -> str:
-    return " ".join(text.split())
-
-
-def _guarded(text: str, start: int, punct: int) -> bool:
-    """True when the period at `punct` must not end a sentence."""
-    if text[punct] != ".":
+def _false_cut(prev: str, piece: str) -> bool:
+    """True when the candidate boundary between two pieces ends no sentence."""
+    first = piece[0]
+    if first > "\x7f" and not (first.isupper() or first.isdigit()):
+        return True
+    if not _ENDS_GUARDED(prev):
         return False
-    begin = punct
-    while begin > start and not text[begin - 1].isspace():
-        begin -= 1
-    token = text[begin : punct + 1].lstrip("(\"'[")
-    return token in GUARDED_ABBREVIATIONS
+    return prev[prev.rfind(" ") + 1 :].lstrip("(\"'[") in GUARDED_ABBREVIATIONS
 
 
 def segment_sentences(text: str) -> list[str]:
     """Split on [.!?] followed by whitespace and an uppercase letter or digit.
 
-    Whitespace inside each sentence is collapsed to single spaces, so joining
-    the result with single spaces reproduces the non-whitespace content of the
-    input in order.
+    Whitespace is normalised once, so `" ".join(result) == " ".join(text.split())`.
+    One regex split cuts at every candidate boundary; one linear pass rejoins the
+    pieces cut after a guarded abbreviation or before a non-ASCII character that
+    is neither uppercase nor a digit (in ASCII text, only the former can occur).
     """
-    sentences: list[str] = []
-    start = 0
-    n = len(text)
-    # Only a punctuation mark followed by whitespace can end a sentence; the
-    # character and abbreviation checks run at those candidates alone.
-    for match in _CANDIDATE_BOUNDARY.finditer(text):
-        punct, j = match.start(), match.end()
-        if j < n and (text[j].isupper() or text[j].isdigit()) and not _guarded(text, start, punct):
-            piece = _normalize_ws(text[start : punct + 1])
-            if piece:
-                sentences.append(piece)
-            start = j
-    tail = _normalize_ws(text[start:])
-    if tail:
-        sentences.append(tail)
-    return sentences
+    text = " ".join(text.split())
+    if not text:
+        return []
+    pieces = _CANDIDATE_BOUNDARY.split(text)
+    if text.isascii():
+        suspects = compress(range(1, len(pieces)), map(_ENDS_GUARDED, pieces))
+    else:
+        suspects = range(1, len(pieces))
+    false_cuts = {k for k in suspects if _false_cut(pieces[k - 1], pieces[k])}
+    if not false_cuts:
+        return pieces
+    starts = [k for k in range(len(pieces)) if k not in false_cuts] + [len(pieces)]
+    return [" ".join(pieces[a:b]) for a, b in zip(starts, starts[1:])]
 
 
 def _hard_split(sentence: str, hard_limit: int) -> list[str]:
@@ -113,6 +112,10 @@ def pack_chunks(
 ) -> list[Chunk]:
     """Greedy first-fit packing of whole sentences into token-budgeted chunks.
 
+    `ends[k]` is the length of the first k sentences joined with a trailing
+    space each, so sentences i..j-1 join to `ends[j] - ends[i] - 1` characters
+    and one bisection finds the longest run from i that fits the budget.
+
     A single sentence over the budget becomes its own chunk flagged oversized;
     if a hard_limit is given, such sentences are additionally split on
     whitespace with a warning.
@@ -121,49 +124,32 @@ def pack_chunks(
         raise ParameterError(f"chunk budget must be >= 1 token, got {budget}")
     if hard_limit is not None and hard_limit < 1:
         raise ParameterError(f"hard limit must be >= 1 token, got {hard_limit}")
+    ends = [0, *accumulate(len(s) + 1 for s in sentences)]
+    reach = budget * CHARS_PER_TOKEN + 1
     chunks: list[Chunk] = []
-    current: list[str] = []
-    # len(" ".join(current)), kept as sentences are added
-    length = 0
-
-    def flush():
-        nonlocal length
-        if current:
-            text = " ".join(current)
-            chunks.append(Chunk(note_id, len(chunks), text, estimate_tokens(text)))
-            current.clear()
-            length = 0
-
-    for sentence in sentences:
-        if estimate_tokens(sentence) > budget:
-            flush()
-            if hard_limit is not None and estimate_tokens(sentence) > hard_limit:
-                logger.warning(
-                    "note %s: sentence of ~%d tokens exceeds hard limit %d; splitting on whitespace",
-                    note_id or "<unnamed>",
-                    estimate_tokens(sentence),
-                    hard_limit,
-                )
-                for piece in _hard_split(sentence, hard_limit):
-                    chunks.append(
-                        Chunk(note_id, len(chunks), piece, estimate_tokens(piece), oversized=True)
-                    )
-            else:
-                chunks.append(
-                    Chunk(
-                        note_id,
-                        len(chunks),
-                        sentence,
-                        estimate_tokens(sentence),
-                        oversized=True,
-                    )
-                )
+    i = 0
+    while i < len(sentences):
+        # the longest run from sentence i that fits, else sentence i alone
+        j = max(bisect_right(ends, ends[i] + reach, i + 1) - 1, i + 1)
+        text = " ".join(sentences[i:j])
+        i = j
+        tokens = estimate_tokens(text)
+        if tokens <= budget:
+            chunks.append(Chunk(note_id, len(chunks), text, tokens))
             continue
-        if current and math.ceil((length + 1 + len(sentence)) / CHARS_PER_TOKEN) > budget:
-            flush()
-        length += len(sentence) + (1 if current else 0)
-        current.append(sentence)
-    flush()
+        pieces = [text]
+        if hard_limit is not None and tokens > hard_limit:
+            logger.warning(
+                "note %s: sentence of ~%d tokens exceeds hard limit %d; splitting on whitespace",
+                note_id or "<unnamed>",
+                tokens,
+                hard_limit,
+            )
+            pieces = _hard_split(text, hard_limit)
+        for piece in pieces:
+            chunks.append(
+                Chunk(note_id, len(chunks), piece, estimate_tokens(piece), oversized=True)
+            )
     return chunks
 
 

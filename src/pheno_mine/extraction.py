@@ -92,15 +92,17 @@ def plan_requests(
     model: str = DEFAULT_MODEL,
     temperature: float = 0.0,
     max_output_tokens: int = 64,
+    heads: "dict | None" = None,
 ) -> "Iterator[tuple[Chunk, PhenotypeCategory, CompletionRequest]]":
     """One request per chunk x category, in deterministic order.
 
-    Each prompt is rendered only when its request is drawn.
+    Each prompt is rendered only when its request is drawn; `heads` is
+    render_prompt's per-category memo, shared across calls for one corpus.
     """
     for chunk in chunks:
         for category in plist.categories:
             request = CompletionRequest(
-                prompt=render_prompt(category, chunk, mode),
+                prompt=render_prompt(category, chunk, mode, heads),
                 model=model,
                 temperature=temperature,
                 max_output_tokens=max_output_tokens,
@@ -142,6 +144,7 @@ def extract_notes(
     Returns the profiles (input order) and the number of failed completions.
     """
     profiles: list[ExtractionProfile] = []
+    heads: dict = {}
 
     def jobs():
         for note in notes:
@@ -150,7 +153,7 @@ def extract_notes(
             chunks = chunk_text(note.text, budget=chunk_budget, note_id=note.note_id)
             profile.estimated_tokens = sum(c.estimated_tokens for c in chunks)
             for chunk, category, request in plan_requests(
-                chunks, plist, mode, model, temperature, max_output_tokens
+                chunks, plist, mode, model, temperature, max_output_tokens, heads
             ):
                 yield (profile, chunk, category), request
 

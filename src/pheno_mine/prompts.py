@@ -39,31 +39,41 @@ def _body(category: PhenotypeCategory) -> str:
     return _TEMPLATE.format(phrase=category.phrase(), candidates=candidate_phrase(category))
 
 
-def render_zero_shot(category: PhenotypeCategory, chunk: "Chunk | str") -> str:
-    text = chunk.text if isinstance(chunk, Chunk) else chunk
-    return f"{_body(category)} {NOTE_MARKER} {text}"
-
-
-def render_few_shot(category: PhenotypeCategory, chunk: "Chunk | str") -> str:
+def _head(category: PhenotypeCategory, mode: str) -> str:
+    """Everything a prompt holds before the note text; fixed per category and mode."""
+    if mode == "zero_shot":
+        return f"{_body(category)} {NOTE_MARKER} "
+    if mode != "few_shot":
+        raise ConfigError(f"unknown prompt mode {mode!r}; use 'zero_shot' or 'few_shot'")
     if not category.few_shot_examples:
         raise ConfigError(
             f"few-shot prompting requires configured examples for category {category.name!r}"
         )
-    text = chunk.text if isinstance(chunk, Chunk) else chunk
     lines = [_body(category), "Examples:"]
     for example in category.few_shot_examples:
         lines.append(f"Note: {example.note_excerpt}")
         lines.append(f"Output: {example.expected_output}")
-    lines.append(f"{NOTE_MARKER} {text}")
+    lines.append(f"{NOTE_MARKER} ")
     return "\n".join(lines)
 
 
-def render_prompt(category: PhenotypeCategory, chunk: "Chunk | str", mode: str) -> str:
-    if mode == "zero_shot":
-        return render_zero_shot(category, chunk)
-    if mode == "few_shot":
-        return render_few_shot(category, chunk)
-    raise ConfigError(f"unknown prompt mode {mode!r}; use 'zero_shot' or 'few_shot'")
+def render_prompt(
+    category: PhenotypeCategory, chunk: "Chunk | str", mode: str, heads: "dict | None" = None
+) -> str:
+    """Head plus note text; `heads`, one dict per mode, keeps each category's head."""
+    heads = {} if heads is None else heads
+    key = category.key()
+    if key not in heads:
+        heads[key] = _head(category, mode)
+    return heads[key] + (chunk.text if isinstance(chunk, Chunk) else chunk)
+
+
+def render_zero_shot(category: PhenotypeCategory, chunk: "Chunk | str") -> str:
+    return render_prompt(category, chunk, "zero_shot")
+
+
+def render_few_shot(category: PhenotypeCategory, chunk: "Chunk | str") -> str:
+    return render_prompt(category, chunk, "few_shot")
 
 
 def note_section_of(prompt: str) -> str:

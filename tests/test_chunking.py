@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import pack_chunks_oracle, segment_sentences_oracle
 
 from pheno_mine.chunking import (
+    GUARDED_ABBREVIATIONS,
     chunk_text,
     estimate_tokens,
     pack_chunks,
@@ -176,3 +179,57 @@ def test_pack_chunks_matches_join_oracle_and_budget(sentences, budget, hard_limi
         assert chunk.oversized or chunk.estimated_tokens <= budget
         if hard_limit is not None:
             assert chunk.estimated_tokens <= max(budget, hard_limit)
+
+
+# Text aimed at the split-and-repair path: guarded abbreviations (bare and
+# behind the brackets the guard strips) and other marks, followed through
+# Unicode whitespace by non-ASCII uppercase letters and digits, which are true
+# boundaries, or by non-ASCII lowercase letters, which are not.
+_GUARDED = st.tuples(
+    st.sampled_from(["", "(", '"', "[", "(["]),
+    st.sampled_from(sorted(GUARDED_ABBREVIATIONS) + ["pt.", "Drs.", "xDr."]),
+).map("".join)
+_MARKED = st.tuples(
+    st.sampled_from(["", "x", "Word", "1.0", "\u00e9t\u00e9"]),
+    st.sampled_from([".", "!", "?", "?.", "...", "!?", ".)"]),
+).map("".join)
+# É, Arabic-Indic 3, Roman numeral twelve; ß, é; superscript 2, titlecase Dž
+_FOLLOWER = st.sampled_from(
+    ["\u00c9", "\u0663", "\u216b", "\u00df", "\u00e9", "A", "7", "a", "\u00b2", "\u01c5"]
+)
+_GAP = st.sampled_from(
+    ["", " ", "  ", "\n", "\t", "\u00a0", "\u2003", "\u3000", "\x1c", "\u2028", "\x85", " \n "]
+)
+_REPAIR_TEXT = st.lists(
+    st.tuples(st.one_of(_GUARDED, _MARKED, _FOLLOWER), _GAP).map("".join), max_size=40
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPAIR_TEXT)
+def test_split_and_repair_matches_oracles(text):
+    sentences = segment_sentences_oracle(text)
+    assert segment_sentences(text) == sentences
+    for budget in range(1, 41):
+        assert chunk_text(text, budget) == pack_chunks_oracle(sentences, budget)
+
+
+@pytest.mark.parametrize("unit", ["x. \u00e9 ", "Dr. X ", "(Dr. \u00c9 ", "e.g.\u2003\u00df "])
+def test_long_run_of_false_boundaries_segments_like_oracle(unit):
+    # about 200k characters of candidate boundaries that all need repair, so
+    # the whole note is one sentence rebuilt from tens of thousands of pieces
+    text = unit * (200_000 // len(unit))
+    sentences = segment_sentences(text)
+    assert sentences == segment_sentences_oracle(text)
+    assert len(sentences) == 1
+
+
+def test_normalising_whitespace_once_agrees_with_isspace_and_regex():
+    # segment_sentences collapses whitespace with str.split() and then splits
+    # at single spaces; the oracles test str.isspace() and `\s` stands for it
+    # in patterns, so all three must name the same code points
+    for code in range(sys.maxunicode + 1):
+        char = chr(code)
+        by_method = char.isspace()
+        assert by_method == bool(re.fullmatch(r"\s", char)), hex(code)
+        assert by_method == (len(f"a{char}b".split()) == 2), hex(code)

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pheno_mine import chunking, cli, extraction
+from pheno_mine import chunking, cli, extraction, prompts
 from pheno_mine.cohort import CohortManifest, ManifestEntry, NoteRecord
 from pheno_mine.errors import MatrixError
 from pheno_mine.extraction import (
@@ -282,3 +282,41 @@ def test_demo_corpus_against_truth(demo_notes, demo_manifest, demo_truth, combin
     for i, note_id in enumerate(matrix.note_ids):
         got = {c.key for c, v in zip(matrix.columns, matrix.data[i]) if v}
         assert got == demo_truth.get(note_id, set()), note_id
+
+
+@pytest.mark.parametrize("mode", ["zero_shot", "few_shot"])
+def test_extract_renders_each_prompt_body_once_per_category(
+    mock_gateway, combined, monkeypatch, mode
+):
+    bodies = []
+    real_body = prompts._body
+
+    def counting_body(category):
+        bodies.append(category.key())
+        return real_body(category)
+
+    monkeypatch.setattr(prompts, "_body", counting_body)
+    notes = [
+        NoteRecord(f"N{i}", f"P{i}", "Gait steady today. Seen for memory loss. " * (i + 2))
+        for i in range(4)
+    ]
+    sent = []
+    real_complete = mock_gateway.complete
+
+    def recording_complete(request):
+        sent.append(request.prompt)
+        return real_complete(request)
+
+    monkeypatch.setattr(mock_gateway, "complete", recording_complete)
+    _, failures = extract_notes(notes, combined, mock_gateway, mode=mode, chunk_budget=12)
+    assert failures == 0
+    assert sorted(bodies) == sorted(c.key() for c in combined.categories)
+    # the memoised heads give the same prompts as rendering each one afresh
+    expected = [
+        prompts.render_prompt(category, chunk, mode)
+        for note in notes
+        for chunk in chunk_text(note.text, 12, note.note_id)
+        for category in combined.categories
+    ]
+    assert len(expected) > 2 * len(notes) * len(combined.categories)  # multi-chunk notes
+    assert sent == expected
