@@ -1,4 +1,4 @@
-"""Every file the package writes, each replaced whole; CSVs headed by a provenance line."""
+"""Every file the package writes: artifacts, each replaced whole, and the response cache's store."""
 
 from __future__ import annotations
 
@@ -9,7 +9,15 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 
+from .errors import ConfigError
+
 PROVENANCE_PREFIX = "# provenance: "
+# WAL lets readers run beside the one writer and, at synchronous=NORMAL, a
+# commit needs no sync. Lookups are random point reads by hash, so a larger
+# page cache than 256 KiB only costs memory.
+STORE_SETUP = """PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; PRAGMA cache_size=-256;
+CREATE TABLE IF NOT EXISTS response(key TEXT PRIMARY KEY, doc TEXT NOT NULL) WITHOUT ROWID"""
+LOCK_WAIT_S = 60.0  # how long a statement waits for another connection's lock
 
 
 @contextmanager
@@ -53,3 +61,39 @@ def read_csv_lines(path: str | Path) -> list:
     with Path(path).open(newline="", encoding="utf-8") as fh:
         lines = fh.readlines()
     return lines[1:] if lines and lines[0].startswith(PROVENANCE_PREFIX) else lines
+
+
+class ResponseStore:
+    """Documents by key in one SQLite file, shared by threads and by processes.
+
+    Each ``put`` is its own transaction; one connection serves every thread, behind
+    a lock. The last ``close`` checkpoints the log and removes the -wal and -shm files.
+    """
+
+    def __init__(self, path: str | Path):
+        import sqlite3  # loaded only by runs that keep a cache
+
+        self._lock = threading.Lock()
+        db = None
+        try:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            db = sqlite3.connect(path, LOCK_WAIT_S, isolation_level=None, check_same_thread=False)
+            db.executescript(STORE_SETUP)
+        except (OSError, sqlite3.Error) as exc:
+            if db is not None:
+                db.close()
+            raise ConfigError(f"cannot open the response cache {path}: {exc}") from exc
+        self._db = db
+
+    def get(self, key: str) -> str | None:
+        with self._lock:
+            row = self._db.execute("SELECT doc FROM response WHERE key = ?", (key,)).fetchone()
+        return row[0] if row else None
+
+    def put(self, key: str, doc: str):
+        with self._lock:
+            self._db.execute("INSERT OR REPLACE INTO response VALUES (?, ?)", (key, doc))
+
+    def close(self):
+        with self._lock:
+            self._db.close()

@@ -9,6 +9,7 @@ import logging
 import sys
 import time
 from collections import Counter
+from contextlib import closing
 from importlib import resources
 from pathlib import Path
 
@@ -329,87 +330,86 @@ def extract_cmd(
     out = _out_dir(out_dir)
 
     plist = resolve_list(list_spec)
-    gateway = _build_gateway(backend, plist, mock_rules, base_url, cache_dir)
+    with closing(_build_gateway(backend, plist, mock_rules, base_url, cache_dir)) as gateway:
+        notes = cohort_mod.load_notes(notes_path)
+        wrote_manifest = False
+        if manifest_path:
+            manifest = cohort_mod.load_manifest(manifest_path)
+        elif diagnoses_path:
+            diagnoses = cohort_mod.load_diagnoses(diagnoses_path)
+            manifest = cohort_mod.build_manifest(cohort_mod.label_notes(notes, diagnoses), seed=seed)
+            wrote_manifest = True
+        else:
+            raise ConfigError("extract needs --manifest or --diagnoses to define cohorts")
+        manifest = _apply_sampling(manifest, sample_per_cohort, seed, draws)
 
-    notes = cohort_mod.load_notes(notes_path)
-    wrote_manifest = False
-    if manifest_path:
-        manifest = cohort_mod.load_manifest(manifest_path)
-    elif diagnoses_path:
-        diagnoses = cohort_mod.load_diagnoses(diagnoses_path)
-        manifest = cohort_mod.build_manifest(cohort_mod.label_notes(notes, diagnoses), seed=seed)
-        wrote_manifest = True
-    else:
-        raise ConfigError("extract needs --manifest or --diagnoses to define cohorts")
-    manifest = _apply_sampling(manifest, sample_per_cohort, seed, draws)
+        notes_by_id = {n.note_id: n for n in notes}
+        missing = [e.note_id for e in manifest.entries if e.note_id not in notes_by_id]
+        if missing:
+            raise ConfigError(
+                f"manifest references {len(missing)} note(s) absent from the notes file "
+                f"(first: {missing[0]!r})"
+            )
+        selected = [notes_by_id[e.note_id] for e in manifest.entries]
 
-    notes_by_id = {n.note_id: n for n in notes}
-    missing = [e.note_id for e in manifest.entries if e.note_id not in notes_by_id]
-    if missing:
-        raise ConfigError(
-            f"manifest references {len(missing)} note(s) absent from the notes file "
-            f"(first: {missing[0]!r})"
+        options = {
+            "command": "extract",
+            "list": plist.list_id,
+            "mode": mode,
+            "backend": backend,
+            "model": model,
+            "temperature": temperature,
+            "chunk_budget": chunk_budget,
+            "sample_per_cohort": sample_per_cohort,
+            "draws": draws,
+        }
+        provenance = _provenance(options, seed, plist.list_id, mode)
+
+        started = time.perf_counter()
+        profiles, failure_count = extraction.extract_notes(
+            selected,
+            plist,
+            gateway,
+            mode=mode,
+            chunk_budget=chunk_budget,
+            max_in_flight=max_in_flight,
+            model=model,
+            temperature=temperature,
+            max_output_tokens=max_output_tokens,
         )
-    selected = [notes_by_id[e.note_id] for e in manifest.entries]
+        matrix = extraction.build_feature_matrix(profiles, plist, manifest)
+        elapsed = time.perf_counter() - started
 
-    options = {
-        "command": "extract",
-        "list": plist.list_id,
-        "mode": mode,
-        "backend": backend,
-        "model": model,
-        "temperature": temperature,
-        "chunk_budget": chunk_budget,
-        "sample_per_cohort": sample_per_cohort,
-        "draws": draws,
-    }
-    provenance = _provenance(options, seed, plist.list_id, mode)
+        if wrote_manifest:
+            cohort_mod.write_manifest(manifest, out / "manifest.csv", provenance)
+        matrix.to_csv(out / "feature_matrix.csv", provenance)
+        extraction.write_reject_log(profiles, out / "reject_log.jsonl")
+        if per_patient:
+            extraction.aggregate_by_patient(matrix, manifest).to_csv(
+                out / "feature_matrix_patients.csv", provenance
+            )
 
-    started = time.perf_counter()
-    profiles, failure_count = extraction.extract_notes(
-        selected,
-        plist,
-        gateway,
-        mode=mode,
-        chunk_budget=chunk_budget,
-        max_in_flight=max_in_flight,
-        model=model,
-        temperature=temperature,
-        max_output_tokens=max_output_tokens,
-    )
-    matrix = extraction.build_feature_matrix(profiles, plist, manifest)
-    elapsed = time.perf_counter() - started
-
-    if wrote_manifest:
-        cohort_mod.write_manifest(manifest, out / "manifest.csv", provenance)
-    matrix.to_csv(out / "feature_matrix.csv", provenance)
-    extraction.write_reject_log(profiles, out / "reject_log.jsonl")
-    if per_patient:
-        extraction.aggregate_by_patient(matrix, manifest).to_csv(
-            out / "feature_matrix_patients.csv", provenance
+        requests_total = gateway.cache_hits + gateway.cache_misses
+        report = {
+            "provenance": provenance,
+            "notes": len(selected),
+            "cohort_counts": manifest.counts,
+            "requests": requests_total,
+            "failures": failure_count,
+            "cache_hits": gateway.cache_hits,
+            "cache_hit_rate": (gateway.cache_hits / requests_total) if requests_total else 0.0,
+            "rejected_tokens": sum(len(p.rejects) for p in profiles),
+            "note_token_estimate": sum(p.estimated_tokens for p in profiles),
+            "elapsed_seconds": round(elapsed, 3),
+        }
+        write_json(out / "run_report.json", report)
+        click.echo(
+            f"matrix: {out / 'feature_matrix.csv'} ({matrix.shape[0]} notes x "
+            f"{matrix.shape[1]} phenotypes, {failure_count} failed completions)"
         )
-
-    requests_total = gateway.cache_hits + gateway.cache_misses
-    report = {
-        "provenance": provenance,
-        "notes": len(selected),
-        "cohort_counts": manifest.counts,
-        "requests": requests_total,
-        "failures": failure_count,
-        "cache_hits": gateway.cache_hits,
-        "cache_hit_rate": (gateway.cache_hits / requests_total) if requests_total else 0.0,
-        "rejected_tokens": sum(len(p.rejects) for p in profiles),
-        "note_token_estimate": sum(p.estimated_tokens for p in profiles),
-        "elapsed_seconds": round(elapsed, 3),
-    }
-    write_json(out / "run_report.json", report)
-    click.echo(
-        f"matrix: {out / 'feature_matrix.csv'} ({matrix.shape[0]} notes x "
-        f"{matrix.shape[1]} phenotypes, {failure_count} failed completions)"
-    )
-    if failure_count:
-        click.echo(f"warning: {failure_count} completions failed; see run_report.json", err=True)
-        sys.exit(EXIT_FAILURES)
+        if failure_count:
+            click.echo(f"warning: {failure_count} completions failed; see run_report.json", err=True)
+            sys.exit(EXIT_FAILURES)
 
 
 def _build_gateway(backend, plist, mock_rules, base_url, cache_dir) -> LlmGateway:

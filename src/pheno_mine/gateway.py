@@ -26,7 +26,7 @@ from urllib.parse import urlparse
 
 import requests
 
-from .artifacts import write_text
+from .artifacts import ResponseStore
 from .errors import (
     BackendError,
     ConfigError,
@@ -50,6 +50,7 @@ DEFAULT_BACKOFF_BASE = 1.0
 # caller draws (renders) requests in batches: drawing one request after every
 # result made a 2-in-flight loopback HTTP run measurably slower.
 WINDOW_PER_WORKER = 64
+LEGACY_ENTRY = "[0-9a-f]" * 64 + ".json"  # one file per key, the cache's earlier format
 
 
 @dataclass(frozen=True)
@@ -241,17 +242,27 @@ class HttpChatBackend:
 
 
 class ResponseCache:
-    """Content-addressed directory of completion responses.
+    """Content-addressed completion responses in ``<directory>/responses.sqlite``.
 
     The key hashes (backend_id, model, temperature, prompt); a hit replays the
-    stored text byte-identically. Entries are replaced whole through
-    ``artifacts.write_text``, so a crashed run never leaves a truncated one.
+    stored text byte-identically. Entries of the older one-file-per-key
+    format found in the directory are imported once and their files removed.
     """
 
-    def __init__(self, directory: str | Path | None):
-        self.directory = Path(directory) if directory else None
-        if self.directory:
-            self.directory.mkdir(parents=True, exist_ok=True)
+    def __init__(self, directory: str | Path):
+        self._store = ResponseStore(Path(directory) / "responses.sqlite")
+        for path in sorted(Path(directory).glob(LEGACY_ENTRY)):
+            try:
+                doc = path.read_text(encoding="utf-8")
+            except FileNotFoundError:
+                continue  # another process imported it first
+            except (OSError, ValueError):
+                doc = ""
+            if _text_of(doc) is None:
+                logger.warning("ignoring corrupt cache entry %s", path)
+            else:
+                self._store.put(path.stem, doc)
+            path.unlink(missing_ok=True)
 
     @staticmethod
     def key(backend_id: str, request: CompletionRequest) -> str:
@@ -268,24 +279,15 @@ class ResponseCache:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def get(self, key: str) -> str | None:
-        if not self.directory:
+        doc = self._store.get(key)
+        if doc is None:
             return None
-        path = self.directory / f"{key}.json"
-        if not path.exists():
-            return None
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            text = doc["text"]
-            if not isinstance(text, str):
-                raise TypeError
-            return text
-        except (OSError, ValueError, KeyError, TypeError):
-            logger.warning("ignoring corrupt cache entry %s", path)
-            return None
+        text = _text_of(doc)
+        if text is None:
+            logger.warning("ignoring corrupt cache entry %s", key)
+        return text
 
     def put(self, key: str, text: str, request: CompletionRequest, backend_id: str):
-        if not self.directory:
-            return
         doc = {
             "text": text,
             "backend": backend_id,
@@ -293,7 +295,19 @@ class ResponseCache:
             "temperature": request.temperature,
             "prompt_sha256": hashlib.sha256(request.prompt.encode("utf-8")).hexdigest(),
         }
-        write_text(self.directory / f"{key}.json", json.dumps(doc, sort_keys=True, ensure_ascii=False))
+        self._store.put(key, json.dumps(doc, sort_keys=True, ensure_ascii=False))
+
+    def close(self):
+        self._store.close()
+
+
+def _text_of(doc: str) -> str | None:
+    """The ``text`` of a stored JSON document, or None if it has no string one."""
+    try:
+        text = json.loads(doc)["text"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    return text if isinstance(text, str) else None
 
 
 class LlmGateway:
@@ -310,7 +324,7 @@ class LlmGateway:
         if max_attempts < 1:
             raise ParameterError(f"max_attempts must be >= 1, got {max_attempts}")
         self.backend = backend
-        self.cache = ResponseCache(cache_dir)
+        self.cache = ResponseCache(cache_dir) if cache_dir else None
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._sleep = sleep
@@ -318,9 +332,14 @@ class LlmGateway:
         self.cache_misses = 0
         self._counter_lock = threading.Lock()
 
+    def close(self):
+        """Close the response cache, if there is one."""
+        if self.cache is not None:
+            self.cache.close()
+
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         key = None
-        if self.cache.directory:
+        if self.cache is not None:
             key = ResponseCache.key(self.backend.backend_id, request)
             hit = self.cache.get(key)
             if hit is not None:

@@ -1,4 +1,5 @@
-"""``artifacts.py`` is the only module of the package that writes or renames a file."""
+"""``artifacts.py`` is the only module of the package that writes or renames a
+file, or opens a SQLite database."""
 
 import ast
 from pathlib import Path
@@ -33,12 +34,25 @@ def _writes(call: ast.Call) -> bool:
     return False
 
 
+def _connects(tree: ast.Module) -> set:
+    """The spellings of ``sqlite3.connect`` that the imports of ``tree`` make callable."""
+    names = {"sqlite3.connect"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {f"{a.asname or a.name}.connect" for a in node.names if a.name == "sqlite3"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "sqlite3":
+            names |= {a.asname or a.name for a in node.names if a.name == "connect"}
+    return names
+
+
 def writes(source: str) -> list:
-    """Line and text of every call in ``source`` that writes or renames a file."""
+    """Line and text of each call in ``source`` that writes or renames a file or opens a database."""
+    tree = ast.parse(source)
+    connects = _connects(tree)
     return [
         (node.lineno, ast.unparse(node))
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call) and _writes(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (_writes(node) or ast.unparse(node.func) in connects)
     ]
 
 
@@ -53,6 +67,10 @@ def writes(source: str) -> list:
         "p.open(mode=m)",
         "os.replace(a, b)",
         "os.rename(a, b)",
+        "sqlite3.connect(p)",
+        "import sqlite3 as db\ndb.connect(p)",
+        "from sqlite3 import connect\nconnect(p)",
+        "from sqlite3 import connect as c\nc(p, timeout=1)",
     ],
 )
 def test_guard_sees_each_kind_of_write(source):
@@ -60,7 +78,10 @@ def test_guard_sees_each_kind_of_write(source):
 
 
 def test_guard_lets_reads_through():
-    source = "open(p)\nopen(p, 'rb')\np.open(newline='')\np.read_text()\ns.replace('a', 'b')"
+    source = (
+        "open(p)\nopen(p, 'rb')\np.open(newline='')\np.read_text()\ns.replace('a', 'b')\n"
+        "s.connect(a)\nconnect(a)"
+    )
     assert writes(source) == []
 
 

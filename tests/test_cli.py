@@ -2,13 +2,20 @@
 
 import json
 import logging
+import os
+import sqlite3
+import subprocess
+import sys
 import threading
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import pheno_mine
+from pheno_mine.artifacts import ResponseStore
 from pheno_mine.cli import data_path, main
 
 NOTES = str(data_path("demo_notes.jsonl"))
@@ -418,6 +425,113 @@ def test_extract_exit_code_2_on_completion_failures(runner, tmp_path):
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["failures"] == 6
     assert (tmp_path / "out" / "feature_matrix.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "status, with_diagnoses, expect",
+    [
+        (200, True, 0),
+        (400, True, 2),  # failed completions
+        (200, False, 1),  # a ConfigError after the cache is open
+    ],
+)
+def test_extract_closes_the_cache_on_every_exit(
+    runner, tmp_path, monkeypatch, status, with_diagnoses, expect
+):
+    notes, diagnoses = _one_note_corpus(tmp_path)
+    # Hold every store the run opens, so only an explicit close ends its log.
+    opened = []
+    store_init = ResponseStore.__init__
+
+    def held(self, path):
+        store_init(self, path)
+        opened.append(self)
+
+    monkeypatch.setattr(ResponseStore, "__init__", held)
+    server, url = _serve(type("Static", (_StaticHandler,), {"status": status}))
+    cache = tmp_path / "cache"
+    try:
+        invoke(
+            runner,
+            "extract",
+            "--notes", notes,
+            *(["--diagnoses", diagnoses] if with_diagnoses else []),
+            "--backend", "http",
+            "--base-url", url,
+            "--list", "list1",
+            "--cache-dir", cache,
+            "--out-dir", tmp_path / "out",
+            expect=expect,
+        )
+    finally:
+        server.shutdown()
+    assert len(opened) == 1
+    assert [p.name for p in cache.iterdir()] == ["responses.sqlite"]
+
+
+@pytest.mark.parametrize("kind", ["text file", "directory"])
+def test_bad_cache_store_is_one_line_before_artifacts(runner, tmp_path, kind):
+    store = tmp_path / "cache" / "responses.sqlite"
+    if kind == "directory":
+        store.mkdir(parents=True)
+    else:
+        store.parent.mkdir()
+        store.write_text("not a database\n" * 100)
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES,
+         "--cache-dir", str(store.parent), "--out-dir", str(out)],
+    )
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: cannot open the response cache")
+    assert len(result.stderr.splitlines()) == 1
+    assert list(out.iterdir()) == []
+
+
+def test_extract_without_a_cache_never_loads_sqlite3(tmp_path):
+    args = ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--out-dir", str(tmp_path)]
+    code = (
+        "import sys; from pheno_mine.cli import main\n"
+        f"main({args!r}, standalone_mode=False)\n"
+        "print('sqlite3' in sys.modules)"
+    )
+    path = [str(Path(pheno_mine.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "feature_matrix.csv").is_file()
+
+
+def _rows(cache: Path) -> dict:
+    with closing(sqlite3.connect(cache / "responses.sqlite")) as db:
+        return dict(db.execute("SELECT key, doc FROM response"))
+
+
+def test_extract_imports_a_file_per_entry_cache(runner, tmp_path, caplog):
+    args = ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--seed", 0]
+    invoke(runner, *args, "--cache-dir", tmp_path / "cache", "--out-dir", tmp_path / "cold")
+    rows = _rows(tmp_path / "cache")
+    # The same responses as one <key>.json file each, the earlier format.
+    legacy = tmp_path / "legacy"
+    legacy.mkdir()
+    for key, doc in rows.items():
+        (legacy / f"{key}.json").write_text(doc, encoding="utf-8")
+    (legacy / f"{'f' * 64}.json").write_text("{ not json", encoding="utf-8")
+    (legacy / "notes.json").write_text("{}", encoding="utf-8")  # not an entry
+    with caplog.at_level(logging.WARNING, logger="pheno_mine.gateway"):
+        invoke(runner, *args, "--cache-dir", legacy, "--out-dir", tmp_path / "warm")
+
+    report = json.loads((tmp_path / "warm" / "run_report.json").read_text())
+    assert report["cache_hit_rate"] == 1.0
+    for name in ("manifest.csv", "feature_matrix.csv", "reject_log.jsonl"):
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+    assert sorted(p.name for p in legacy.iterdir()) == ["notes.json", "responses.sqlite"]
+    assert _rows(legacy) == rows
+    assert [r.getMessage() for r in caplog.records] == [
+        f"ignoring corrupt cache entry {legacy / ('f' * 64 + '.json')}"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,20 @@
+import hashlib
 import http.server
 import json
 import logging
 import os
+import sqlite3
 import sys
+import tempfile
 import threading
+import time
+from contextlib import closing
+from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pheno_mine.cli import data_path
 from pheno_mine.errors import (
@@ -150,19 +158,52 @@ def test_cache_key_depends_on_prompt_model_temperature():
     assert ResponseCache.key("x", a) == ResponseCache.key("x", a)
 
 
+def stored(cache_dir) -> dict:
+    """Every row of the response store in ``cache_dir``, key to document."""
+    with closing(sqlite3.connect(Path(cache_dir) / "responses.sqlite")) as db:
+        return dict(db.execute("SELECT key, doc FROM response"))
+
+
 def test_corrupt_cache_entry_is_a_miss(tmp_path, combined):
     backend = MockBackend(MockRuleTable.from_csv(data_path("mock_rules.csv")), combined)
     cache_dir = tmp_path / "cache"
-    gateway = LlmGateway(backend, cache_dir=cache_dir)
-    req = request_for(combined.category("Comorbidities"), "hypertension noted")
-    gateway.complete(req)
-    (entry,) = list(cache_dir.glob("*.json"))
-    entry.write_text("{ not json", encoding="utf-8")
-    resp = gateway.complete(req)
-    assert not resp.cached
-    assert resp.text == "hypertension"
-    # the corrupt entry was rewritten with a good one
-    assert json.loads(entry.read_text(encoding="utf-8"))["text"] == "hypertension"
+    with closing(LlmGateway(backend, cache_dir=cache_dir)) as gateway:
+        req = request_for(combined.category("Comorbidities"), "hypertension noted")
+        gateway.complete(req)
+        (key,) = stored(cache_dir)
+        for bad in ("{ not json", '{"text": 1}', "[]"):
+            with closing(sqlite3.connect(cache_dir / "responses.sqlite")) as db, db:
+                db.execute("UPDATE response SET doc = ?", (bad,))
+            resp = gateway.complete(req)
+            assert not resp.cached
+            assert resp.text == "hypertension"
+            # the corrupt entry was rewritten with a good one
+            assert json.loads(stored(cache_dir)[key])["text"] == "hypertension"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.text(st.characters(blacklist_categories=("Cs",))))  # no lone surrogates
+def test_cache_round_trips_any_text_exactly(text):
+    request = CompletionRequest(prompt=f"prompt {text}", model="m", temperature=0.5)
+    key = ResponseCache.key("x", request)
+    with tempfile.TemporaryDirectory() as directory:
+        cache = ResponseCache(directory)
+        cache.put(key, text, request, "x")
+        assert cache.get(key) == text
+        cache.close()
+        reopened = ResponseCache(directory)
+        assert reopened.get(key) == text
+        reopened.close()
+        # the document a file-per-entry cache held in <key>.json
+        doc = {
+            "text": text,
+            "backend": "x",
+            "model": "m",
+            "temperature": 0.5,
+            "prompt_sha256": hashlib.sha256(request.prompt.encode("utf-8")).hexdigest(),
+        }
+        assert stored(directory) == {key: json.dumps(doc, sort_keys=True, ensure_ascii=False)}
+        assert os.listdir(directory) == ["responses.sqlite"]
 
 
 class EchoBackend:
@@ -190,8 +231,48 @@ def test_cache_survives_concurrent_writes_of_one_prompt(tmp_path, caplog):
     assert [tag for tag, _, _ in results] == list(range(800))
     assert all(resp.text == f"echo prompt {tag // 8}" for tag, resp, _ in results)
     assert not [r for r in caplog.records if "corrupt cache entry" in r.getMessage()]
-    assert len(list((tmp_path / "cache").glob("*.json"))) == 100
+    assert len(stored(tmp_path / "cache")) == 100
     assert not list((tmp_path / "cache").glob("*.tmp.*"))
+
+
+def test_two_gateways_share_one_cache_directory(tmp_path):
+    # Two connections to one store, 4 writer threads each, racing on the same
+    # 1,000 prompts while a third connection holds the write lock for a while,
+    # as another process would: a write that gave up on the lock would fail
+    # its request with "database is locked".
+    cache_dir = tmp_path / "cache"
+    jobs = [(i, CompletionRequest(prompt=f"prompt {i}")) for i in range(1000)]
+    results = {}
+    first = LlmGateway(EchoBackend(), cache_dir=cache_dir)
+    second = LlmGateway(EchoBackend(), cache_dir=cache_dir)
+    with closing(first), closing(second):
+        threads = [
+            threading.Thread(
+                target=lambda g=gateway: results.setdefault(g, list(g.complete_stream(jobs, 4)))
+            )
+            for gateway in (first, second)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            other = sqlite3.connect(cache_dir / "responses.sqlite", isolation_level=None)
+            with closing(other):
+                other.execute("BEGIN IMMEDIATE")
+                for thread in threads:
+                    thread.start()
+                time.sleep(0.2)
+                other.execute("COMMIT")
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 2
+    for streamed in results.values():
+        assert [error for _, _, error in streamed if error] == []
+        assert all(resp.text == f"echo prompt {tag}" for tag, resp, _ in streamed)
+    assert len(stored(cache_dir)) == 1000
+    assert os.listdir(cache_dir) == ["responses.sqlite"]
 
 
 # ---------------------------------------------------------------------------
