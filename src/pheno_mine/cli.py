@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import sys
 import time
 from collections import Counter
@@ -55,6 +56,17 @@ _DATA_FILES = (
     "demo_ner.jsonl",
 )
 
+
+class FiniteFloatRange(click.FloatRange):
+    """A FloatRange that also refuses nan and the infinities."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+
 # Option types shared by several commands (and by the group's own --seed/--out-dir).
 SEED = click.IntRange(min=0)
 OUT_DIR = click.Path(file_okay=False)
@@ -101,7 +113,8 @@ def _expected(kind) -> tuple:
     if isinstance(kind, click.types.IntParamType):
         json_type, noun = int, "an integer"
     elif isinstance(kind, click.types.FloatParamType):
-        json_type, noun = (int, float), "a number"
+        json_type = (int, float)
+        noun = "a finite number" if isinstance(kind, FiniteFloatRange) else "a number"
     else:
         return str, "a string"
     bounds = []
@@ -294,7 +307,7 @@ def _apply_sampling(manifest, sample_per_cohort, seed, draws):
 @click.option("--mock-rules", type=EXISTING_FILE)
 @click.option("--base-url", help="Chat-completions endpoint base URL (http backend).")
 @click.option("--model", default=DEFAULT_MODEL)
-@click.option("--temperature", type=click.FloatRange(min=0), default=0.0)
+@click.option("--temperature", type=FiniteFloatRange(min=0), default=0.0)
 @click.option("--max-output-tokens", type=click.IntRange(min=1), default=64)
 @click.option("--max-in-flight", type=click.IntRange(min=1), default=4)
 @click.option("--cache-dir", type=click.Path(file_okay=False))

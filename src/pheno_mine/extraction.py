@@ -97,8 +97,10 @@ def plan_requests(
     """One request per chunk x category, in deterministic order.
 
     Each prompt is rendered only when its request is drawn; `heads` is
-    render_prompt's per-category memo, shared across calls for one corpus.
+    render_prompt's per-category memo, shared across calls for one corpus,
+    and gives each request its head.
     """
+    heads = {} if heads is None else heads
     for chunk in chunks:
         for category in plist.categories:
             request = CompletionRequest(
@@ -106,6 +108,7 @@ def plan_requests(
                 model=model,
                 temperature=temperature,
                 max_output_tokens=max_output_tokens,
+                head=heads[category.key()],
             )
             yield chunk, category, request
 

@@ -11,16 +11,18 @@ input order.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import socket
 import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import urlparse
 
@@ -51,6 +53,11 @@ DEFAULT_BACKOFF_BASE = 1.0
 # result made a 2-in-flight loopback HTTP run measurably slower.
 WINDOW_PER_WORKER = 64
 LEGACY_ENTRY = "[0-9a-f]" * 64 + ".json"  # one file per key, the cache's earlier format
+# Entries kept by each cache-key memo: hashed prefixes, one per (backend,
+# model, temperature, head), and escaped prompt remainders. Requests come chunk
+# by chunk, so a chunk's remainder serves its consecutive per-category
+# requests, and a few dozen heads cover a list.
+KEY_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -59,12 +66,19 @@ class CompletionRequest:
     model: str = DEFAULT_MODEL
     temperature: float = 0.0
     max_output_tokens: int = 64
+    # A prefix of ``prompt`` shared by many requests, such as a category's
+    # instruction head; it only lets the cache key hash that prefix once.
+    head: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not self.prompt:
             raise ParameterError("prompt must be non-empty")
-        if self.temperature < 0:
-            raise ParameterError(f"temperature must be >= 0, got {self.temperature}")
+        if not self.prompt.startswith(self.head):
+            raise ParameterError("head must be a prefix of the prompt")
+        if not 0 <= self.temperature < math.inf:  # also false for nan
+            raise ParameterError(
+                f"temperature must be a finite number >= 0, got {self.temperature}"
+            )
         if self.max_output_tokens < 1:
             raise ParameterError(
                 f"max_output_tokens must be >= 1, got {self.max_output_tokens}"
@@ -266,17 +280,22 @@ class ResponseCache:
 
     @staticmethod
     def key(backend_id: str, request: CompletionRequest) -> str:
-        blob = json.dumps(
-            {
-                "backend": backend_id,
-                "model": request.model,
-                "temperature": request.temperature,
-                "prompt": request.prompt,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
+        """sha256 of the sorted-key JSON of backend, model, prompt and temperature.
+
+        The JSON is fed to the hash in pieces. JSON-escaping a concatenation
+        gives the concatenation of the escapes, and so does UTF-8 encoding.
+        So the blob up to the end of ``request.head`` is hashed once per
+        backend, model, temperature and head, and the rest of the prompt is
+        escaped once for all the requests that share it.
+        """
+        temperature = request.temperature
+        prefix, closing = _key_prefix(
+            backend_id, request.model, temperature, repr(temperature), request.head
         )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        digest = prefix.copy()
+        digest.update(_escape(request.prompt[len(request.head):]))
+        digest.update(closing)
+        return digest.hexdigest()
 
     def get(self, key: str) -> str | None:
         doc = self._store.get(key)
@@ -299,6 +318,31 @@ class ResponseCache:
 
     def close(self):
         self._store.close()
+
+
+# A str as json.dumps(..., ensure_ascii=False) writes it, quotes included.
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
+@functools.lru_cache(maxsize=KEY_MEMO_SIZE)
+def _key_prefix(backend_id: str, model: str, temperature, spelling: str, head: str) -> tuple:
+    """The key's hash fed up to the end of ``head``, and the UTF-8 bytes that close its blob.
+
+    ``spelling`` is ``repr(temperature)``: it keeps 0, 0.0 and -0.0 apart,
+    which are one value to the memo but three spellings in JSON. Callers copy
+    the hash before feeding it.
+    """
+    backend, model = _json_string(backend_id), _json_string(model)
+    opening = f'{{"backend": {backend}, "model": {model}, "prompt": "'
+    closing = f'", "temperature": {json.dumps(temperature)}}}'
+    prefix = hashlib.sha256(opening.encode("utf-8") + _escape(head))
+    return prefix, closing.encode("utf-8")
+
+
+@functools.lru_cache(maxsize=KEY_MEMO_SIZE)
+def _escape(text: str) -> bytes:
+    """``text`` as UTF-8 between the quotes of a JSON string."""
+    return _json_string(text)[1:-1].encode("utf-8")
 
 
 def _text_of(doc: str) -> str | None:

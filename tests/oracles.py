@@ -3,10 +3,13 @@
 Everything here is deliberately written via a different route than the
 library code: pair-by-pair brute force for the clustering indices,
 numerical integration for the chi-square survival function, SVD for PCA,
-and exhaustive assignment enumeration for k-means. Slow and simple wins.
+exhaustive assignment enumeration for k-means, and one ``json.dumps`` of the
+whole blob for the response-cache key. Slow and simple wins.
 """
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -275,3 +278,22 @@ def note_concepts_jaccard_oracle(tokens: list, terms: dict, max_n: int, threshol
                 if len(gram_set & term_set) / union >= threshold:
                     found.add(concept)
     return found
+
+
+# ---------------------------------------------------------------------------
+# response-cache key, the whole blob dumped and hashed in one go
+
+
+def cache_key_oracle(backend_id: str, request) -> str:
+    """sha256 of the sorted-key JSON of backend, model, prompt and temperature."""
+    blob = json.dumps(
+        {
+            "backend": backend_id,
+            "model": request.model,
+            "temperature": request.temperature,
+            "prompt": request.prompt,
+        },
+        sort_keys=True,
+        ensure_ascii=False,
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

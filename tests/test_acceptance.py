@@ -378,6 +378,7 @@ def test_criterion_10_declared_limits_and_live_endpoint_smoke(tmp_path):
     finally:
         if server is not None:
             server.shutdown()
+            server.server_close()
     assert result.exit_code == 0, result.output + result.stderr
     matrix = FeatureMatrix.from_csv(tmp_path / "out" / "feature_matrix.csv")
     assert len(matrix.note_ids) == 3

@@ -218,6 +218,8 @@ DICTIONARY = ["baseline", "--method", "dictionary", "--notes", NOTES, "--terms",
         (DICTIONARY, "min_doc_freq", "2"),
         (["stats"], "fixture", ["absent.csv"]),
         (DICTIONARY, "config", "other.json"),
+        (EXTRACT, "temperature", float("nan")),
+        (EXTRACT, "temperature", float("inf")),
     ],
 )
 def test_bad_config_value_is_one_line_before_artifacts(runner, extracted, tmp_path, command, key, value):
@@ -278,14 +280,20 @@ def test_config_verbose_logs_what_the_flag_logs(runner, tmp_path, caplog):
 
 @pytest.mark.parametrize(
     "command",
-    [["report", "--restarts", "0"], ["cluster", "--seed", "-1"]],
+    [
+        ["report", "--matrix", "MATRIX", "--restarts", "0"],
+        ["cluster", "--matrix", "MATRIX", "--seed", "-1"],
+        [*EXTRACT, "--temperature", "nan"],
+        [*EXTRACT, "--temperature", "inf"],
+    ],
 )
 def test_bad_flag_value_is_a_usage_error_before_artifacts(runner, extracted, tmp_path, command):
     out = tmp_path / "out"
-    result = runner.invoke(main, [*command, "--matrix", str(extracted), "--out-dir", str(out)])
+    args = [str(extracted) if a == "MATRIX" else a for a in command]
+    result = runner.invoke(main, [*args, "--out-dir", str(out)])
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output + result.stderr
-    assert f"Invalid value for '{command[1]}'" in result.stderr
+    assert f"Invalid value for '{command[-2]}'" in result.stderr
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -391,6 +399,7 @@ def test_extract_against_local_http_endpoint(runner, tmp_path):
         )
     finally:
         server.shutdown()
+        server.server_close()
     assert "0 failed completions" in result.output
     matrix_lines = (tmp_path / "out" / "feature_matrix.csv").read_text().splitlines()
     assert matrix_lines[2].startswith("N1,CN,") and matrix_lines[2].endswith(",0" * 5)
@@ -419,6 +428,7 @@ def test_extract_exit_code_2_on_completion_failures(runner, tmp_path):
         )
     finally:
         server.shutdown()
+        server.server_close()
     assert result.exit_code == 2
     assert "completions failed" in result.stderr
     # artifacts still exist so the failure can be inspected
@@ -465,6 +475,7 @@ def test_extract_closes_the_cache_on_every_exit(
         )
     finally:
         server.shutdown()
+        server.server_close()
     assert len(opened) == 1
     assert [p.name for p in cache.iterdir()] == ["responses.sqlite"]
 

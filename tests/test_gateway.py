@@ -16,6 +16,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cache_key_oracle
 from pheno_mine.cli import data_path
 from pheno_mine.errors import (
     BackendError,
@@ -27,6 +28,7 @@ from pheno_mine.errors import (
 )
 from pheno_mine.gateway import (
     API_KEY_ENV_VAR,
+    DEFAULT_MODEL,
     CompletionRequest,
     HttpChatBackend,
     LlmGateway,
@@ -51,6 +53,11 @@ def test_request_validation():
         CompletionRequest(prompt="")
     with pytest.raises(ParameterError):
         CompletionRequest(prompt="x", temperature=-0.1)
+    for temperature in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="finite"):
+            CompletionRequest(prompt="x", temperature=temperature)
+    with pytest.raises(ParameterError, match="prefix"):
+        CompletionRequest(prompt="head text", head="text")
     with pytest.raises(ParameterError):
         CompletionRequest(prompt="x", max_output_tokens=0)
     ok = CompletionRequest(prompt="x")
@@ -156,6 +163,34 @@ def test_cache_key_depends_on_prompt_model_temperature():
     assert len(keys) == 4
     assert ResponseCache.key("x", a) != ResponseCache.key("y", a)
     assert ResponseCache.key("x", a) == ResponseCache.key("x", a)
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+KEY_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x1f\n\x7fé\u2028𝄞'),
+        st.characters(blacklist_categories=("Cs",)),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    prompt=KEY_TEXT.filter(bool),
+    backend_id=st.one_of(st.sampled_from(["mock", "http", 'a"b']), KEY_TEXT),
+    model=st.one_of(st.just(DEFAULT_MODEL), KEY_TEXT),
+    temperature=st.one_of(
+        st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+        st.integers(min_value=0),
+        st.sampled_from([0, 0.0, -0.0, 1, 1.0]),
+    ),
+)
+def test_cache_key_equals_the_one_shot_oracle(prompt, backend_id, model, temperature):
+    for split in range(len(prompt) + 1):
+        request = CompletionRequest(
+            prompt=prompt, model=model, temperature=temperature, head=prompt[:split]
+        )
+        assert ResponseCache.key(backend_id, request) == cache_key_oracle(backend_id, request)
 
 
 def stored(cache_dir) -> dict:
@@ -399,6 +434,7 @@ def scripted_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}", ScriptedHandler
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
