@@ -7,7 +7,6 @@ unchanged.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import re
@@ -17,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_csv_rows, read_lines
 from .cohort import NoteRecord, UNLABELED
 from .errors import BaselineError, ParameterError
 from .features import FeatureMatrix
@@ -71,40 +71,26 @@ def build_dictionary(
 
     Duplicate normalized terms keep the first concept id with a warning.
     """
-    path = Path(term_file)
-    try:
-        fh = path.open(newline="", encoding="utf-8")
-    except OSError as exc:
-        raise BaselineError(f"cannot read term file {path}: {exc}") from exc
     terms: dict[str, str] = {}
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            logger.warning("term file %s is empty; dictionary has no terms", path)
-            return ConceptDictionary(terms={}, min_term_length=min_term_length)
-        if not {"term", "concept_id"}.issubset(reader.fieldnames):
-            raise BaselineError(f"{path}: term file must have columns term,concept_id")
-        for lineno, row in enumerate(reader, start=2):
-            term = normalize_term(row["term"] or "")
-            concept = (row["concept_id"] or "").strip()
-            if not term or not concept:
-                logger.warning("%s:%d: skipping row with empty term or concept", path, lineno)
-                continue
-            if len(term) <= min_term_length:
-                logger.debug("dropping term %r: length %d <= %d", term, len(term), min_term_length)
-                continue
-            if term in terms:
-                logger.warning(
-                    "%s:%d: duplicate term %r; keeping first concept %r",
-                    path,
-                    lineno,
-                    term,
-                    terms[term],
-                )
-                continue
-            terms[term] = _column_safe(concept)
+    rows = read_csv_rows(term_file, BaselineError, "term file", ("term", "concept_id"))
+    for lineno, row in rows:
+        term = normalize_term(row["term"] or "")
+        concept = (row["concept_id"] or "").strip()
+        if not term or not concept:
+            logger.warning("%s:%d: skipping row with empty term or concept", term_file, lineno)
+            continue
+        if len(term) <= min_term_length:
+            logger.debug("dropping term %r: length %d <= %d", term, len(term), min_term_length)
+            continue
+        if term in terms:
+            logger.warning(
+                "%s:%d: duplicate term %r; keeping first concept %r",
+                term_file, lineno, term, terms[term],
+            )
+            continue
+        terms[term] = _column_safe(concept)
     if not terms:
-        logger.warning("term file %s produced an empty dictionary", path)
+        logger.warning("term file %s produced an empty dictionary", term_file)
     return ConceptDictionary(terms=terms, min_term_length=min_term_length)
 
 
@@ -257,17 +243,12 @@ def ingest_ner_annotations(
     with a warning, and a file with only malformed lines is an error. Rows
     follow first appearance of each note; columns are sorted concept ids.
     """
-    path = Path(file)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise BaselineError(f"cannot read annotation file {path}: {exc}") from exc
-    note_order: list[str] = []
+    if not 0.0 <= min_score <= 1.0:
+        raise ParameterError(f"min_score must be in [0, 1], got {min_score}")
     note_concepts: dict[str, set] = {}
-    concepts: set[str] = set()
     malformed = 0
     parsed = 0
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in read_lines(file, BaselineError):
         if not line.strip():
             continue
         try:
@@ -280,33 +261,29 @@ def ingest_ner_annotations(
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"score {score} outside [0, 1]")
         except (ValueError, KeyError, TypeError) as exc:
-            logger.warning("%s:%d: skipping malformed annotation: %s", path, lineno, exc)
+            logger.warning("%s:%d: skipping malformed annotation: %s", file, lineno, exc)
             malformed += 1
             continue
         parsed += 1
         if score < min_score:
             continue
-        if note_id not in note_concepts:
-            note_order.append(note_id)
-            note_concepts[note_id] = set()
-        safe = _column_safe(concept)
-        note_concepts[note_id].add(safe)
-        concepts.add(safe)
+        note_concepts.setdefault(note_id, set()).add(_column_safe(concept))
     if parsed == 0 and malformed > 0:
-        raise BaselineError(f"{path}: all {malformed} annotation lines are malformed")
-    ordered_concepts = sorted(concepts)
+        raise BaselineError(f"{file}: all {malformed} annotation lines are malformed")
+    ordered_concepts = sorted(set().union(*note_concepts.values()))
     column_of = {c: i for i, c in enumerate(ordered_concepts)}
-    data = np.zeros((len(note_order), len(ordered_concepts)), dtype=np.int8)
-    for row, note_id in enumerate(note_order):
-        for concept in note_concepts[note_id]:
+    note_ids = list(note_concepts)
+    data = np.zeros((len(note_ids), len(ordered_concepts)), dtype=np.int8)
+    for row, found in enumerate(note_concepts.values()):
+        for concept in found:
             data[row, column_of[concept]] = 1
     columns = [
         FeatureColumn(index=i, list_id="ner", category="concepts", phenotype_id=c)
         for i, c in enumerate(ordered_concepts)
     ]
     return FeatureMatrix(
-        note_ids=note_order,
-        cohorts=[UNLABELED] * len(note_order),
+        note_ids=note_ids,
+        cohorts=[UNLABELED] * len(note_ids),
         columns=columns,
         data=data,
     )

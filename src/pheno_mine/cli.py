@@ -11,7 +11,6 @@ import sys
 import time
 from collections import Counter
 from contextlib import closing
-from importlib import resources
 from pathlib import Path
 
 import click
@@ -19,7 +18,7 @@ import click
 from . import baselines as baselines_mod
 from . import cohort as cohort_mod
 from . import extraction, figures, pca, stats
-from .artifacts import write_json, write_text
+from .artifacts import data_path, read_json, read_text, write_json, write_text
 from .chunking import DEFAULT_CHUNK_BUDGET
 from .clustering import (
     DEFAULT_MAX_ITER,
@@ -85,11 +84,6 @@ yates_option = click.option("--yates", type=click.Choice(["auto", "on", "off"]),
 restarts_option = click.option("--restarts", type=click.IntRange(min=1), default=DEFAULT_RESTARTS)
 
 
-def data_path(name: str) -> Path:
-    """Filesystem path of a bundled data file."""
-    return Path(str(resources.files("pheno_mine.data").joinpath(name)))
-
-
 def guarded(fn):
     """Convert package errors into exit code 1 with a clean message."""
 
@@ -151,10 +145,7 @@ def _config_defaults(config_path, group, command) -> dict:
     ignored; a key that names no option of any command, nor of ``group``, is
     an error. The group's own options apply too, except ``config`` itself.
     """
-    try:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{config_path}: invalid JSON: {exc.msg}") from exc
+    doc = read_json(config_path, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"{config_path}: config must be a JSON object")
     known = {_config_key(p) for cmd in [group, *group.commands.values()] for p in cmd.params}
@@ -551,7 +542,7 @@ def _parse_setting(raw: str) -> tuple:
 )
 @restarts_option
 @click.option("--max-iter", type=click.IntRange(min=1), default=DEFAULT_MAX_ITER)
-@click.option("--tol", type=click.FloatRange(min=0), default=DEFAULT_TOL)
+@click.option("--tol", type=FiniteFloatRange(min=0), default=DEFAULT_TOL)
 @seed_option
 @out_dir_option
 @guarded
@@ -601,7 +592,7 @@ def pca_cmd(matrix_path, seed, out_dir):
 @click.option("--min-term-length", type=int, default=4)
 @click.option("--min-doc-freq", type=click.IntRange(min=0), default=50)
 @click.option("--similarity-threshold", type=click.FloatRange(0, 1, min_open=True), default=1.0)
-@click.option("--min-score", type=float, default=0.8)
+@click.option("--min-score", type=FiniteFloatRange(0, 1), default=0.8)
 @seed_option
 @out_dir_option
 @guarded
@@ -702,7 +693,7 @@ def export_defaults_cmd(out_dir):
     """Write the bundled vocabularies, fixtures, demo corpus, and templates."""
     out = _out_dir(out_dir)
     for name in _DATA_FILES:
-        write_text(out / name, data_path(name).read_bytes().decode("utf-8"))
+        write_text(out / name, read_text(data_path(name), ConfigError, newline=""))
     write_text(out / "combined.json", json.dumps(to_document(builtin_list("combined")), indent=2) + "\n")
     from .prompts import render_few_shot, render_zero_shot
 

@@ -144,8 +144,8 @@ def kmeans_fit(
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
-    if tol < 0:
-        raise ParameterError(f"tol must be >= 0, got {tol}")
+    if not 0 <= tol < math.inf:
+        raise ParameterError(f"tol must be a finite number >= 0, got {tol}")
     best: KMeansModel | None = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])

@@ -8,14 +8,13 @@ from the manifest with a warning.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .artifacts import csv_artifact, read_csv_lines
+from .artifacts import csv_artifact, read_csv_rows, read_lines
 from .errors import CohortError
 
 logger = logging.getLogger(__name__)
@@ -201,26 +200,19 @@ def sample_cohort(
 
 def load_diagnoses(path: str | Path) -> "dict[str, list[DiagnosisRecord]]":
     """Read a diagnoses CSV with columns patient_id,icd_version,icd_code."""
-    path = Path(path)
     by_patient: dict[str, list[DiagnosisRecord]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"patient_id", "icd_version", "icd_code"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise CohortError(
-                f"{path}: diagnoses file must have columns patient_id,icd_version,icd_code"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            code = normalize_icd(row["icd_code"] or "")
-            try:
-                version = int(row["icd_version"])
-            except (TypeError, ValueError):
-                version = 0
-            if not code or version not in (9, 10):
-                logger.warning("%s:%d: skipping unparseable diagnosis %r", path, lineno, row)
-                continue
-            record = DiagnosisRecord(row["patient_id"], version, code)
-            by_patient.setdefault(record.patient_id, []).append(record)
+    columns = ("patient_id", "icd_version", "icd_code")
+    for lineno, row in read_csv_rows(path, CohortError, "diagnoses file", columns):
+        code = normalize_icd(row["icd_code"] or "")
+        try:
+            version = int(row["icd_version"])
+        except (TypeError, ValueError):
+            version = 0
+        if not code or version not in (9, 10):
+            logger.warning("%s:%d: skipping unparseable diagnosis %r", path, lineno, row)
+            continue
+        record = DiagnosisRecord(row["patient_id"], version, code)
+        by_patient.setdefault(record.patient_id, []).append(record)
     return by_patient
 
 
@@ -246,7 +238,9 @@ def _parse_optional_bool(value) -> bool | None:
     raise CohortError(f"cannot parse boolean field value {value!r}")
 
 
-def _note_from_mapping(row: dict, source: str) -> NoteRecord:
+def _note_from_mapping(row, source: str) -> NoteRecord:
+    if not isinstance(row, dict):
+        raise CohortError(f"{source}: note record must be a JSON object")
     for key in ("note_id", "patient_id", "text"):
         if key not in row or row[key] in (None, ""):
             raise CohortError(f"{source}: note record missing required field {key!r}")
@@ -262,23 +256,20 @@ def _note_from_mapping(row: dict, source: str) -> NoteRecord:
 
 def load_notes(path: str | Path) -> "list[NoteRecord]":
     """Read notes from JSONL (one object per line) or CSV, by file extension."""
-    path = Path(path)
     notes: list[NoteRecord] = []
-    if path.suffix.lower() == ".jsonl":
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CohortError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-                notes.append(_note_from_mapping(row, f"{path}:{lineno}"))
+    if Path(path).suffix.lower() == ".jsonl":
+        for lineno, line in read_lines(path, CohortError):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CohortError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+            notes.append(_note_from_mapping(row, f"{path}:{lineno}"))
     else:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for lineno, row in enumerate(reader, start=2):
-                notes.append(_note_from_mapping(row, f"{path}:{lineno}"))
+        columns = ("note_id", "patient_id", "text")
+        for lineno, row in read_csv_rows(path, CohortError, "notes file", columns):
+            notes.append(_note_from_mapping(row, f"{path}:{lineno}"))
     seen: set[str] = set()
     for n in notes:
         if n.note_id in seen:
@@ -295,12 +286,9 @@ def write_manifest(manifest: CohortManifest, path: str | Path, provenance: dict 
 
 
 def load_manifest(path: str | Path) -> CohortManifest:
-    entries = []
-    reader = csv.DictReader(read_csv_lines(path))
-    if reader.fieldnames is None or not {"note_id", "patient_id", "cohort"}.issubset(
-        reader.fieldnames
-    ):
-        raise CohortError(f"{path}: manifest must have columns note_id,patient_id,cohort")
-    for row in reader:
-        entries.append(ManifestEntry(row["note_id"], row["patient_id"], row["cohort"]))
-    return CohortManifest(entries=tuple(entries))
+    columns = ("note_id", "patient_id", "cohort")
+    entries = tuple(
+        ManifestEntry(row["note_id"], row["patient_id"], row["cohort"])
+        for _, row in read_csv_rows(path, CohortError, "manifest", columns)
+    )
+    return CohortManifest(entries=entries)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import csv_artifact, read_csv_lines
+from .artifacts import csv_artifact, read_csv
 from .errors import MatrixError
 from .schema import FeatureColumn, parse_column_key
 
@@ -66,12 +65,9 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureMatrix":
-        reader = csv.reader(read_csv_lines(path))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MatrixError(f"{path}: empty feature matrix file") from None
-        if len(header) < 2 or header[0] != "note_id" or header[1] != "cohort":
+        records = read_csv(path, MatrixError, "feature matrix", ("note_id", "cohort"))
+        _, header = next(records)
+        if header[:2] != ["note_id", "cohort"]:
             raise MatrixError(f"{path}: header must start with note_id,cohort")
         columns = []
         for i, key in enumerate(header[2:]):
@@ -80,9 +76,7 @@ class FeatureMatrix:
                 FeatureColumn(index=i, list_id=namespace, category=category, phenotype_id=pid)
             )
         note_ids, cohorts, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in records:
             if len(row) != len(header):
                 raise MatrixError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"

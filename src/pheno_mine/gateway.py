@@ -10,7 +10,6 @@ input order.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
@@ -28,7 +27,7 @@ from urllib.parse import urlparse
 
 import requests
 
-from .artifacts import ResponseStore
+from .artifacts import ResponseStore, read_csv_rows, read_text
 from .errors import (
     BackendError,
     ConfigError,
@@ -106,20 +105,13 @@ class MockRuleTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "MockRuleTable":
-        path = Path(path)
         rules = []
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            required = {"category", "trigger", "phenotype"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ConfigError(
-                    f"{path}: mock rules file must have columns category,trigger,phenotype"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                trigger = (row["trigger"] or "").strip().lower()
-                if not row["category"] or not trigger or not row["phenotype"]:
-                    raise ConfigError(f"{path}:{lineno}: empty field in mock rule")
-                rules.append(MockRule(row["category"].strip(), trigger, row["phenotype"].strip()))
+        columns = ("category", "trigger", "phenotype")
+        for lineno, row in read_csv_rows(path, ConfigError, "mock rules file", columns):
+            trigger = (row["trigger"] or "").strip().lower()
+            if not row["category"] or not trigger or not row["phenotype"]:
+                raise ConfigError(f"{path}:{lineno}: empty field in mock rule")
+            rules.append(MockRule(row["category"].strip(), trigger, row["phenotype"].strip()))
         return cls(rules=tuple(rules))
 
     def restricted_to(self, plist: PhenotypeList) -> "MockRuleTable":
@@ -267,10 +259,10 @@ class ResponseCache:
         self._store = ResponseStore(Path(directory) / "responses.sqlite")
         for path in sorted(Path(directory).glob(LEGACY_ENTRY)):
             try:
-                doc = path.read_text(encoding="utf-8")
-            except FileNotFoundError:
-                continue  # another process imported it first
-            except (OSError, ValueError):
+                doc = read_text(path, ConfigError)
+            except ConfigError as exc:
+                if isinstance(exc.__cause__, FileNotFoundError):
+                    continue  # another process imported it first
                 doc = ""
             if _text_of(doc) is None:
                 logger.warning("ignoring corrupt cache entry %s", path)

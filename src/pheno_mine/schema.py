@@ -9,11 +9,10 @@ their concatenation ``combined``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from importlib import resources
 from pathlib import Path
 
+from .artifacts import data_path, read_json
 from .errors import SchemaError
 
 BUILTIN_LIST_IDS = ("list1", "list2", "combined")
@@ -238,17 +237,7 @@ def parse_phenotype_list(doc: dict, source: str = "<memory>") -> PhenotypeList:
 
 def load_phenotype_list(path: str | Path) -> PhenotypeList:
     """Load and validate a phenotype list from a JSON file."""
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"cannot read phenotype list {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = read_json(path, SchemaError)
     return parse_phenotype_list(doc, source=str(path))
 
 
@@ -303,8 +292,7 @@ def to_document(plist: PhenotypeList) -> dict:
 
 
 def _load_builtin(name: str) -> PhenotypeList:
-    ref = resources.files("pheno_mine.data").joinpath(name)
-    doc = json.loads(ref.read_text(encoding="utf-8"))
+    doc = read_json(data_path(name), SchemaError)
     return parse_phenotype_list(doc, source=f"builtin:{name}")
 
 

@@ -8,13 +8,12 @@ tables with the Yates continuity correction.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artifacts import csv_artifact
+from .artifacts import csv_artifact, read_csv_rows
 from .errors import DegenerateTableError, ParameterError, StatsError
 from .features import FeatureMatrix
 
@@ -294,39 +293,30 @@ class CategoryCounts:
 
 def load_counts_fixture(path: str | Path) -> "list[CategoryCounts]":
     """Read a fixture CSV with columns list,category,cohort,n_total,n_none."""
-    path = Path(path)
     buckets: dict[tuple[str, str], CategoryCounts] = {}
-    order: list[tuple[str, str]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"list", "category", "cohort", "n_total", "n_none"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise StatsError(
-                f"{path}: counts fixture must have columns list,category,cohort,n_total,n_none"
+    columns = ("list", "category", "cohort", "n_total", "n_none")
+    for lineno, row in read_csv_rows(path, StatsError, "counts fixture", columns):
+        key = (row["list"], row["category"])
+        if key not in buckets:
+            buckets[key] = CategoryCounts(
+                list_id=row["list"], category=row["category"], totals={}, nones={}
             )
-        for lineno, row in enumerate(reader, start=2):
-            key = (row["list"], row["category"])
-            if key not in buckets:
-                buckets[key] = CategoryCounts(
-                    list_id=row["list"], category=row["category"], totals={}, nones={}
-                )
-                order.append(key)
-            try:
-                total = int(row["n_total"])
-                none = int(row["n_none"])
-            except (TypeError, ValueError) as exc:
-                raise StatsError(f"{path}:{lineno}: non-integer count: {exc}") from exc
-            if total < 0 or none < 0:
-                raise StatsError(f"{path}:{lineno}: counts must be non-negative")
-            cohort = row["cohort"]
-            if cohort in buckets[key].totals:
-                raise StatsError(
-                    f"{path}:{lineno}: duplicate cohort {cohort!r} for category "
-                    f"{row['category']!r}"
-                )
-            buckets[key].totals[cohort] = total
-            buckets[key].nones[cohort] = none
-    return [buckets[k] for k in order]
+        try:
+            total = int(row["n_total"])
+            none = int(row["n_none"])
+        except (TypeError, ValueError) as exc:
+            raise StatsError(f"{path}:{lineno}: non-integer count: {exc}") from exc
+        if total < 0 or none < 0:
+            raise StatsError(f"{path}:{lineno}: counts must be non-negative")
+        cohort = row["cohort"]
+        if cohort in buckets[key].totals:
+            raise StatsError(
+                f"{path}:{lineno}: duplicate cohort {cohort!r} for category "
+                f"{row['category']!r}"
+            )
+        buckets[key].totals[cohort] = total
+        buckets[key].nones[cohort] = none
+    return list(buckets.values())  # in order of first appearance
 
 
 # ---------------------------------------------------------------------------

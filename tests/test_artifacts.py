@@ -1,10 +1,14 @@
-"""``artifacts.py`` is the only module of the package that writes or renames a
-file, or opens a SQLite database."""
+"""``artifacts.py`` is the only module of the package that opens, reads, writes or
+renames a file, or opens a SQLite database."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from pheno_mine.artifacts import PROVENANCE_PREFIX, read_csv
+from pheno_mine.errors import MatrixError
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pheno_mine"
 
@@ -94,3 +98,70 @@ def test_only_artifacts_module_writes_files():
         if path.name != "artifacts.py" and (found := writes(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def _reads(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in ("open", "read_text", "read_bytes")
+    return isinstance(func, ast.Name) and func.id == "open"
+
+
+def reads(source: str) -> list:
+    """Line and text of each call in ``source`` that opens a file in any mode or reads one whole."""
+    return [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and _reads(node)
+    ]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "open(p)",
+        "open(p, 'rb')",
+        "open(p, mode='w', encoding='utf-8')",
+        "io.open(p)",
+        "p.open()",
+        "Path(p).open(newline='')",
+        "p.read_text(encoding='utf-8')",
+        "p.read_bytes()",
+        "resources.files(m).joinpath(n).read_text()",
+    ],
+)
+def test_guard_sees_each_kind_of_read(source):
+    assert len(reads(source)) == 1
+
+
+def test_reader_guard_lets_other_calls_through():
+    source = "json.loads(s)\nfh.read()\nurlopen(u)\nread_text(p, E)\nreopen(p)\np.opened()"
+    assert reads(source) == []
+
+
+def test_only_artifacts_module_reads_files():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "artifacts.py" in modules
+    offenders = {
+        path.name: found
+        for path in modules
+        if path.name != "artifacts.py" and (found := reads(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def test_csv_records_carry_the_line_they_start_on(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text(
+        f'{PROVENANCE_PREFIX}{{}}\na,b\n1,"two\nlines"\n\n3,4\n5,"{"x" * 200_000}"\n',
+        encoding="utf-8",
+    )
+    records = read_csv(path, MatrixError, "table", ("b",))
+    assert next(records) == (2, ["a", "b"])
+    assert next(records) == (3, ["1", "two\nlines"])
+    assert next(records) == (6, ["3", "4"])
+    with pytest.raises(MatrixError, match=re.escape(f"{path}:7: field larger than field limit")):
+        next(records)
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(MatrixError, match="table must have columns b"):
+        next(read_csv(path, MatrixError, "table", ("b",)))

@@ -83,6 +83,10 @@ def test_build_dictionary_requires_expected_columns(tmp_path):
         build_dictionary(path)
     with pytest.raises(BaselineError, match="cannot read"):
         build_dictionary(tmp_path / "missing.csv")
+    # a file with no header line fails the same check as a wrong header
+    (tmp_path / "empty.csv").write_bytes(b"")
+    with pytest.raises(BaselineError, match="term,concept_id"):
+        build_dictionary(tmp_path / "empty.csv")
 
 
 def test_build_dictionary_max_term_tokens(tmp_path):
@@ -363,6 +367,13 @@ def test_ner_ingestion_all_malformed_is_error(tmp_path):
         ingest_ner_annotations(path)
     with pytest.raises(BaselineError, match="cannot read"):
         ingest_ner_annotations(tmp_path / "missing.jsonl")
+
+
+@pytest.mark.parametrize("min_score", [-0.1, 1.5, float("inf"), float("nan")])
+def test_ner_min_score_must_be_in_unit_interval(tmp_path, min_score):
+    path = write_annotations(tmp_path, [{"note_id": "N1", "concept": "C1", "score": 0.9}])
+    with pytest.raises(ParameterError, match="min_score"):
+        ingest_ner_annotations(path, min_score=min_score)
 
 
 def test_ner_duplicate_annotations_collapse(tmp_path):

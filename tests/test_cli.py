@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pheno_mine
 from pheno_mine.artifacts import ResponseStore
@@ -192,8 +194,10 @@ def test_extract_rejects_bad_config_counts_before_artifacts(runner, tmp_path):
 
 
 TERMS = str(data_path("demo_terms.csv"))
+ANNOTATIONS = str(data_path("demo_ner.jsonl"))
 EXTRACT = ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES]
 DICTIONARY = ["baseline", "--method", "dictionary", "--notes", NOTES, "--terms", TERMS]
+NER = ["baseline", "--method", "ner", "--annotations", ANNOTATIONS]
 
 
 @pytest.mark.parametrize(
@@ -220,6 +224,11 @@ DICTIONARY = ["baseline", "--method", "dictionary", "--notes", NOTES, "--terms",
         (DICTIONARY, "config", "other.json"),
         (EXTRACT, "temperature", float("nan")),
         (EXTRACT, "temperature", float("inf")),
+        (["cluster", "--matrix", "MATRIX"], "tol", float("nan")),
+        (["cluster", "--matrix", "MATRIX"], "tol", float("inf")),
+        (NER, "min_score", float("nan")),
+        (NER, "min_score", float("inf")),
+        (NER, "min_score", 1.5),
     ],
 )
 def test_bad_config_value_is_one_line_before_artifacts(runner, extracted, tmp_path, command, key, value):
@@ -285,6 +294,11 @@ def test_config_verbose_logs_what_the_flag_logs(runner, tmp_path, caplog):
         ["cluster", "--matrix", "MATRIX", "--seed", "-1"],
         [*EXTRACT, "--temperature", "nan"],
         [*EXTRACT, "--temperature", "inf"],
+        ["cluster", "--matrix", "MATRIX", "--tol", "nan"],
+        ["cluster", "--matrix", "MATRIX", "--tol", "inf"],
+        [*NER, "--min-score", "nan"],
+        [*NER, "--min-score", "inf"],
+        [*NER, "--min-score", "-0.1"],
     ],
 )
 def test_bad_flag_value_is_a_usage_error_before_artifacts(runner, extracted, tmp_path, command):
@@ -295,6 +309,85 @@ def test_bad_flag_value_is_a_usage_error_before_artifacts(runner, extracted, tmp
     assert "Traceback" not in result.output + result.stderr
     assert f"Invalid value for '{command[-2]}'" in result.stderr
     assert not out.exists() or not list(out.iterdir())
+
+
+NOTES_CSV_HEADER = b"note_id,patient_id,text\n"
+MANIFEST_HEADER = b"note_id,patient_id,cohort\n"
+BAD = "BAD"  # placeholder for the probe file in a command
+
+
+@pytest.mark.parametrize(
+    "name, source, command",
+    [
+        ("notes.jsonl", NOTES, ["extract", "--notes", BAD, "--diagnoses", DIAGNOSES]),
+        ("notes.csv", NOTES_CSV_HEADER, ["extract", "--notes", BAD, "--diagnoses", DIAGNOSES]),
+        ("diagnoses.csv", DIAGNOSES, ["extract", "--notes", NOTES, "--diagnoses", BAD]),
+        ("manifest.csv", MANIFEST_HEADER, ["extract", "--notes", NOTES, "--manifest", BAD]),
+        ("list.json", str(data_path("list1.json")), [*EXTRACT, "--list", BAD]),
+        ("config.json", b"{}", ["--config", BAD, "stats", "--builtin-fixtures"]),
+        ("ner.jsonl", ANNOTATIONS, ["baseline", "--method", "ner", "--annotations", BAD]),
+        ("terms.csv", TERMS, [*DICTIONARY[:-2], "--terms", BAD]),
+        ("rules.csv", str(data_path("mock_rules.csv")), [*EXTRACT, "--mock-rules", BAD]),
+        ("counts.csv", str(data_path("counts_list1.csv")), ["stats", "--fixture", BAD]),
+        ("matrix.csv", "MATRIX", ["report", "--matrix", BAD]),
+        ("diagnoses.csv", DIAGNOSES, ["cohort", "--notes", NOTES, "--diagnoses", BAD]),
+        ("long_note.csv", None, ["extract", "--notes", BAD, "--diagnoses", DIAGNOSES]),
+    ],
+    ids=[
+        "notes-jsonl", "notes-csv", "diagnoses", "manifest", "list", "config", "annotations",
+        "terms", "mock-rules", "fixture", "matrix", "cohort-diagnoses", "csv-note-over-field-limit",
+    ],
+)
+def test_unreadable_input_is_one_error_line(runner, extracted, tmp_path, name, source, command):
+    """A 0xE9 byte after valid content, or a CSV note over the csv module's field limit."""
+    path = tmp_path / name
+    if source is None:
+        path.write_bytes(NOTES_CSV_HEADER + b"N1,P1," + b"x" * 180_000 + b"\n")
+    else:
+        valid = source if isinstance(source, bytes) else Path(
+            extracted if source == "MATRIX" else source
+        ).read_bytes()
+        path.write_bytes(valid + b"\xe9\n")
+    out = tmp_path / "out"
+    args = [str(path) if a == BAD else a for a in command]
+    result = runner.invoke(main, [*args, "--out-dir", str(out)])
+    assert result.exit_code == 1, result.output + result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    if source is None:
+        assert result.stderr.startswith(f"error: {path}:2: field larger than field limit")
+    else:
+        assert result.stderr.startswith(f"error: cannot read {path}: ")
+    assert not out.exists() or not list(out.iterdir())
+
+
+def _input_bytes(*heads):
+    """Arbitrary bytes, or arbitrary UTF-8 text, after one of ``heads``."""
+    tails = st.binary(max_size=120) | st.text(max_size=120).map(str.encode)
+    return st.sampled_from(heads).flatmap(lambda head: tails.map(head.__add__))
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    suffix=st.sampled_from([".jsonl", ".csv"]),
+    notes=_input_bytes(b"", NOTES_CSV_HEADER, Path(NOTES).read_bytes()[:300]),
+    diagnoses=_input_bytes(b"", Path(DIAGNOSES).read_bytes()[:80]),
+)
+def test_arbitrary_input_bytes_never_end_in_a_traceback(runner, tmp_path, suffix, notes, diagnoses):
+    notes_path = tmp_path / f"notes{suffix}"
+    notes_path.write_bytes(notes)
+    diagnoses_path = tmp_path / "diagnoses.csv"
+    diagnoses_path.write_bytes(diagnoses)
+    result = runner.invoke(
+        main,
+        ["cohort", "--notes", str(notes_path), "--diagnoses", str(diagnoses_path),
+         "--out-dir", str(tmp_path / "out")],
+    )
+    assert result.exit_code in (0, 1, 2), result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output + result.stderr
 
 
 def test_config_file_gives_the_artifacts_of_equivalent_flags(runner, tmp_path):

@@ -147,8 +147,9 @@ def test_kmeans_parameter_validation():
         kmeans_fit(X, k=2, restarts=0)
     with pytest.raises(ParameterError, match="max_iter"):
         kmeans_fit(X, k=2, max_iter=0)
-    with pytest.raises(ParameterError, match="tol"):
-        kmeans_fit(X, k=2, tol=-1.0)
+    for tol in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ParameterError, match="tol"):
+            kmeans_fit(X, k=2, tol=tol)
     with pytest.raises(AnalysisError, match="2-dimensional"):
         kmeans_fit(np.zeros(4), k=2)
     with pytest.raises(AnalysisError, match="non-finite"):
