@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import threading
 from contextlib import contextmanager
 from importlib import resources
@@ -36,8 +37,19 @@ def atomic_file(path: str | Path):
         with temp.open("w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(temp, target)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         temp.unlink(missing_ok=True)
+
+
+def artifact_dir(path: str | Path) -> Path:
+    """The artifact directory ``path``, made with its parents if missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return Path(path)
 
 
 def write_text(path: str | Path, text: str):
@@ -81,12 +93,28 @@ def read_text(path: str | Path, error: type, newline: str | None = None) -> str:
     return "".join(line for _, line in read_lines(path, error, newline))
 
 
+def parse_json(text: str):
+    """``json.loads``, with a ``ValueError`` for every way ``text`` can fail: nesting too
+    deep to decode, and a ``\\u`` escape of a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+    # Only a surrogate's escape puts one in text read from UTF-8; the backslash test runs
+    # at memchr speed and spares the search most lines.
+    if "\\" in text and re.search(r"\\u[dD][89a-fA-F]", text):
+        try:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("a \\u escape decodes to a lone surrogate") from None
+    return doc
+
+
 def read_json(path: str | Path, error: type):
     try:
-        return json.loads(read_text(path, error))
-    except json.JSONDecodeError as exc:
-        where = f"line {exc.lineno}, column {exc.colno}"
-        raise error(f"{path}: invalid JSON at {where}: {exc.msg}") from exc
+        return parse_json(read_text(path, error))
+    except ValueError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
 def read_csv(path: str | Path, error: type, what: str, columns: tuple):

@@ -7,7 +7,6 @@ unchanged.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from collections import Counter
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_csv_rows, read_lines
+from .artifacts import parse_json, read_csv_rows, read_lines
 from .cohort import NoteRecord, UNLABELED
 from .errors import BaselineError, ParameterError
 from .features import FeatureMatrix
@@ -252,7 +251,7 @@ def ingest_ner_annotations(
         if not line.strip():
             continue
         try:
-            doc = json.loads(line)
+            doc = parse_json(line)
             note_id = doc["note_id"]
             concept = doc["concept"]
             score = float(doc["score"])

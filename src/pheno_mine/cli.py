@@ -18,7 +18,7 @@ import click
 from . import baselines as baselines_mod
 from . import cohort as cohort_mod
 from . import extraction, figures, pca, stats
-from .artifacts import data_path, read_json, read_text, write_json, write_text
+from .artifacts import artifact_dir, data_path, read_json, read_text, write_json, write_text
 from .chunking import DEFAULT_CHUNK_BUDGET
 from .clustering import (
     DEFAULT_MAX_ITER,
@@ -191,12 +191,6 @@ def _load_matrix(matrix_path, seed: int, **options) -> tuple:
     return matrix, _provenance(options, seed, _list_ids(matrix.columns))
 
 
-def _out_dir(out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 @click.option(
     "--config",
@@ -245,7 +239,7 @@ def main(ctx, config_path, seed, out_dir, verbose):
 @guarded
 def cohort_cmd(notes_path, diagnoses_path, out_manifest, sample_per_cohort, draws, seed, out_dir):
     """Label notes with CN/MCI/ADRD cohorts and write the run manifest."""
-    out = _out_dir(out_dir)
+    out = artifact_dir(out_dir)
     manifest_path = Path(out_manifest) if out_manifest else out / "manifest.csv"
     notes = cohort_mod.load_notes(notes_path)
     diagnoses = cohort_mod.load_diagnoses(diagnoses_path)
@@ -331,7 +325,7 @@ def extract_cmd(
     out_dir,
 ):
     """Run the full pipeline: cohort, sample, chunk, prompt, complete, parse, matrix."""
-    out = _out_dir(out_dir)
+    out = artifact_dir(out_dir)
 
     plist = resolve_list(list_spec)
     with closing(_build_gateway(backend, plist, mock_rules, base_url, cache_dir)) as gateway:
@@ -491,7 +485,7 @@ def _pca_artifacts(matrix, out: Path, provenance: dict):
 @guarded
 def stats_cmd(matrix_path, fixture_paths, builtin_fixtures, granularity, yates, seed, out_dir):
     """Chi-square presence/absence tests per category across cohorts."""
-    out = _out_dir(out_dir)
+    out = artifact_dir(out_dir)
     paths = [Path(p) for p in fixture_paths]
     if builtin_fixtures:
         paths = [data_path("counts_list1.csv"), data_path("counts_list2.csv")]
@@ -548,7 +542,7 @@ def _parse_setting(raw: str) -> tuple:
 @guarded
 def cluster_cmd(matrix_path, settings_raw, restarts, max_iter, tol, seed, out_dir):
     """K-means over the feature matrix scored against cohort labels."""
-    out = _out_dir(out_dir)
+    out = artifact_dir(out_dir)
     pairs = [_parse_setting(raw) for raw in settings_raw] or DEFAULT_CLUSTER_SETTINGS
     settings = [f"{k}:{s}" for k, s in pairs]
     matrix, provenance = _load_matrix(
@@ -571,7 +565,7 @@ def cluster_cmd(matrix_path, settings_raw, restarts, max_iter, tol, seed, out_di
 @guarded
 def pca_cmd(matrix_path, seed, out_dir):
     """Project the matrix onto two principal components and plot it."""
-    out = _out_dir(out_dir)
+    out = artifact_dir(out_dir)
     matrix, provenance = _load_matrix(matrix_path, seed, command="pca")
     r1, r2 = _pca_artifacts(matrix, out, provenance).explained_variance_ratio
     click.echo(
@@ -610,7 +604,7 @@ def baseline_cmd(
     out_dir,
 ):
     """Dictionary matching or NER-ingestion baseline feature matrices."""
-    out = _out_dir(out_dir)
+    out = artifact_dir(out_dir)
     cohort_of = cohort_mod.load_manifest(manifest_path).cohort_of() if manifest_path else {}
     if method == "dictionary":
         if not notes_path or not terms_path:
@@ -666,7 +660,7 @@ def baseline_cmd(
 @guarded
 def report_cmd(matrix_path, yates, restarts, seed, out_dir):
     """Stats, clustering, and PCA artifacts from one matrix, plus a summary."""
-    out = _out_dir(out_dir)
+    out = artifact_dir(out_dir)
     matrix, provenance = _load_matrix(matrix_path, seed, command="report", yates=yates)
     stats_text = _stats_artifacts(stats.analyze_matrix(matrix, yates=yates), out, provenance)
     cluster_text = _cluster_artifacts(
@@ -691,7 +685,7 @@ def report_cmd(matrix_path, yates, restarts, seed, out_dir):
 @guarded
 def export_defaults_cmd(out_dir):
     """Write the bundled vocabularies, fixtures, demo corpus, and templates."""
-    out = _out_dir(out_dir)
+    out = artifact_dir(out_dir)
     for name in _DATA_FILES:
         write_text(out / name, read_text(data_path(name), ConfigError, newline=""))
     write_text(out / "combined.json", json.dumps(to_document(builtin_list("combined")), indent=2) + "\n")

@@ -8,13 +8,12 @@ from the manifest with a warning.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .artifacts import csv_artifact, read_csv_rows, read_lines
+from .artifacts import csv_artifact, parse_json, read_csv_rows, read_lines
 from .errors import CohortError
 
 logger = logging.getLogger(__name__)
@@ -262,9 +261,9 @@ def load_notes(path: str | Path) -> "list[NoteRecord]":
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CohortError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+                row = parse_json(line)
+            except ValueError as exc:
+                raise CohortError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             notes.append(_note_from_mapping(row, f"{path}:{lineno}"))
     else:
         columns = ("note_id", "patient_id", "text")

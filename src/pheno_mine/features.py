@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +55,6 @@ class FeatureMatrix:
             groups.setdefault((col.list_id, col.category), []).append(col.index)
         return groups
 
-    def rows_for_cohort(self, cohort: str) -> np.ndarray:
-        return np.array([i for i, c in enumerate(self.cohorts) if c == cohort], dtype=int)
-
     def to_csv(self, path: str | Path, provenance: dict | None = None):
         with csv_artifact(path, provenance) as writer:
             writer.writerow(["note_id", "cohort"] + self.column_keys)
@@ -69,6 +67,9 @@ class FeatureMatrix:
         _, header = next(records)
         if header[:2] != ["note_id", "cohort"]:
             raise MatrixError(f"{path}: header must start with note_id,cohort")
+        repeated = [key for key, n in Counter(header).items() if n > 1]
+        if repeated:
+            raise MatrixError(f"{path}: column {repeated[0]!r} appears more than once")
         columns = []
         for i, key in enumerate(header[2:]):
             namespace, category, pid = parse_column_key(key)
@@ -83,9 +84,8 @@ class FeatureMatrix:
                 )
             note_ids.append(row[0])
             cohorts.append(row[1])
-            try:
-                rows.append([int(v) for v in row[2:]])
-            except ValueError as exc:
-                raise MatrixError(f"{path}:{lineno}: non-integer cell: {exc}") from exc
+            if not set(row[2:]) <= {"0", "1"}:
+                raise MatrixError(f"{path}:{lineno}: feature cells must be 0 or 1")
+            rows.append(row[2:])
         data = np.array(rows, dtype=np.int8) if rows else np.zeros((0, len(columns)), dtype=np.int8)
         return cls(note_ids=note_ids, cohorts=cohorts, columns=columns, data=data)

@@ -2,8 +2,9 @@
 
 Contingency rows are presence/absence of a phenotype category (a note is
 "present" when any phenotype in the category was extracted); columns are
-cohorts. The overall test uses the full 2x3 table, pairwise tests use 2x2
-tables with the Yates continuity correction.
+cohorts. Every table comes from per-category counts, transcribed in a fixture
+or counted in a feature matrix. The overall test uses the full 2x3 table,
+pairwise tests use 2x2 tables with the Yates continuity correction.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .artifacts import csv_artifact, read_csv_rows
 from .errors import DegenerateTableError, ParameterError, StatsError
@@ -25,6 +28,7 @@ PAIRWISE_COMPARISONS = (
     ("CN vs. ADRD", ("CN", "ADRD")),
     ("MCI vs. ADRD", ("MCI", "ADRD")),
 )
+COMPARISONS = ("Overall", *(name for name, _ in PAIRWISE_COMPARISONS))
 
 
 # ---------------------------------------------------------------------------
@@ -195,69 +199,9 @@ def chi_square_test(table: ContingencyTable, yates: str = "auto") -> ChiSquareRe
     )
 
 
-def build_contingency(
-    matrix: FeatureMatrix,
-    category: str,
-    cohorts: tuple = DEFAULT_COHORTS,
-    granularity: str = "category",
-) -> ContingencyTable:
-    """Presence/absence cells per cohort from the feature matrix.
-
-    Category granularity counts a note as present when any column of the
-    category is 1; phenotype granularity takes `category` as a single column
-    key (or unambiguous phenotype id) and uses that column alone.
-    """
-    if granularity not in ("category", "phenotype"):
-        raise ParameterError(f"granularity must be category or phenotype, got {granularity!r}")
-    if not 2 <= len(cohorts) <= 3:
-        raise StatsError(f"need 2 or 3 cohorts, got {cohorts!r}")
-    if granularity == "category":
-        groups = matrix.category_groups()
-        hits = [
-            idx
-            for (namespace, name), idx in groups.items()
-            if name == category or f"{namespace}:{name}" == category
-        ]
-        if not hits:
-            known = sorted(f"{ns}:{name}" for ns, name in groups)
-            raise StatsError(f"unknown category {category!r}; known: {', '.join(known)}")
-        if len(hits) > 1:
-            raise StatsError(
-                f"category name {category!r} is ambiguous; qualify it as namespace:name"
-            )
-        column_indices = hits[0]
-    else:
-        hits = [
-            c.index
-            for c in matrix.columns
-            if c.key == category or c.phenotype_id == category
-        ]
-        if not hits:
-            raise StatsError(f"unknown phenotype column {category!r}")
-        if len(hits) > 1:
-            raise StatsError(
-                f"phenotype id {category!r} is ambiguous; use the full column key"
-            )
-        column_indices = hits
-    present_counts = []
-    absent_counts = []
-    for cohort in cohorts:
-        rows = matrix.rows_for_cohort(cohort)
-        if rows.size == 0:
-            raise StatsError(f"cohort {cohort!r} has no rows in the matrix")
-        block = matrix.data[rows][:, column_indices]
-        present = int((block.max(axis=1) > 0).sum())
-        present_counts.append(present)
-        absent_counts.append(int(rows.size) - present)
-    return ContingencyTable(
-        row_labels=("present", "absent"),
-        col_labels=tuple(cohorts),
-        cells=(tuple(present_counts), tuple(absent_counts)),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Transcribed count fixtures (per-category totals and "none" counts)
+# Per-category counts: notes per cohort, and notes with no phenotype of the
+# category, transcribed in a fixture or counted in a feature matrix
 
 
 @dataclass(frozen=True)
@@ -319,6 +263,32 @@ def load_counts_fixture(path: str | Path) -> "list[CategoryCounts]":
     return list(buckets.values())  # in order of first appearance
 
 
+def matrix_counts(matrix: FeatureMatrix, granularity: str = "category") -> "list[CategoryCounts]":
+    """The counts of each subject of ``matrix``, in column order.
+
+    A subject is a (namespace, category) group of columns or, at phenotype
+    granularity, one column named by its full key. A note has the subject
+    when any of its columns is 1.
+    """
+    if granularity == "category":
+        subjects = [(ns, name, idx) for (ns, name), idx in matrix.category_groups().items()]
+    elif granularity == "phenotype":
+        subjects = [(c.list_id, c.key, [c.index]) for c in matrix.columns]
+    else:
+        raise ParameterError(f"granularity must be category or phenotype, got {granularity!r}")
+    labels = list(dict.fromkeys(matrix.cohorts))
+    in_cohort = np.array(matrix.cohorts, dtype=str)[:, None] == np.array(labels, dtype=str)
+    absent = np.empty((matrix.shape[0], len(subjects)), dtype=bool)  # notes x subjects
+    for j, (_, _, idx) in enumerate(subjects):
+        absent[:, j] = ~matrix.data[:, idx].any(axis=1)
+    totals = in_cohort.sum(axis=0).tolist()
+    nones = (in_cohort.T.astype(np.int64) @ absent).tolist()  # cohorts x subjects
+    return [
+        CategoryCounts(ns, name, dict(zip(labels, totals)), {c: n[j] for c, n in zip(labels, nones)})
+        for j, (ns, name, _) in enumerate(subjects)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Whole-table analysis
 
@@ -331,74 +301,46 @@ class CategoryStats:
     results: dict
 
 
-@dataclass
-class StatsReport:
-    granularity: str
-    yates: str
-    rows: list  # list[CategoryStats]
-
-
-def _analyze_tables(
-    tables: "list[tuple[str, str, dict]]", yates: str, granularity: str
-) -> StatsReport:
-    """tables: (list_id, category, {comparison name -> ContingencyTable})."""
-    report_rows = []
-    for list_id, category, comparisons in tables:
-        results: dict = {}
-        for name, table in comparisons.items():
-            try:
-                results[name] = chi_square_test(table, yates=yates)
-            except DegenerateTableError as exc:
-                logger.warning("%s / %s: %s", category, name, exc)
-                results[name] = f"untestable ({exc.margin})"
-        report_rows.append(CategoryStats(list_id=list_id, category=category, results=results))
-    return StatsReport(granularity=granularity, yates=yates, rows=report_rows)
-
-
 def analyze_matrix(
     matrix: FeatureMatrix,
     yates: str = "auto",
     granularity: str = "category",
     cohorts: tuple = DEFAULT_COHORTS,
-) -> StatsReport:
+) -> "list[CategoryStats]":
     present_cohorts = set(matrix.cohorts)
     missing = [c for c in cohorts if c not in present_cohorts]
     if missing:
         raise StatsError(f"matrix is missing cohort(s): {', '.join(missing)}")
-    tables = []
-    if granularity == "category":
-        subjects = [
-            (namespace, name, f"{namespace}:{name}")
-            for (namespace, name) in matrix.category_groups()
-        ]
-    else:
-        subjects = [(c.list_id, c.key, c.key) for c in matrix.columns]
-    for namespace, display, selector in subjects:
-        comparisons = {"Overall": build_contingency(matrix, selector, cohorts, granularity)}
-        for name, pair in PAIRWISE_COMPARISONS:
-            comparisons[name] = build_contingency(matrix, selector, pair, granularity)
-        tables.append((namespace, display, comparisons))
-    return _analyze_tables(tables, yates, granularity)
+    return analyze_fixture(matrix_counts(matrix, granularity), yates, cohorts)
 
 
 def analyze_fixture(
     counts: "list[CategoryCounts]",
     yates: str = "auto",
     cohorts: tuple = DEFAULT_COHORTS,
-) -> StatsReport:
+) -> "list[CategoryStats]":
+    """The overall and the pairwise tests of each category; a table with a zero
+    margin is logged and reported as untestable."""
     for cc in counts:
         missing = [c for c in cohorts if c not in cc.totals]
         if missing:
             raise StatsError(
                 f"fixture category {cc.category!r} is missing cohort(s): {', '.join(missing)}"
             )
-    tables = []
-    for cc in counts:
-        comparisons = {"Overall": cc.contingency(cohorts)}
-        for name, pair in PAIRWISE_COMPARISONS:
-            comparisons[name] = cc.contingency(pair)
-        tables.append((cc.list_id, cc.category, comparisons))
-    return _analyze_tables(tables, yates, "category")
+    comparisons = (("Overall", cohorts), *PAIRWISE_COMPARISONS)
+    # every table is built, and so checked, before any test runs
+    tables = [(cc, {name: cc.contingency(pair) for name, pair in comparisons}) for cc in counts]
+    rows = []
+    for cc, by_name in tables:
+        results: dict = {}
+        for name, table in by_name.items():
+            try:
+                results[name] = chi_square_test(table, yates=yates)
+            except DegenerateTableError as exc:
+                logger.warning("%s / %s: %s", cc.category, name, exc)
+                results[name] = f"untestable ({exc.margin})"
+        rows.append(CategoryStats(list_id=cc.list_id, category=cc.category, results=results))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -413,39 +355,35 @@ def _format_cell(result) -> str:
     return f"{result.p_value:.3f}"
 
 
-def format_stats_table(report: StatsReport) -> str:
+def format_stats_table(report: "list[CategoryStats]") -> str:
     """Text table: stars for significant cells, raw p-values otherwise."""
-    comparisons = ["Overall"] + [name for name, _ in PAIRWISE_COMPARISONS]
-    header = ["Category"] + comparisons
+    header = ["Category", *COMPARISONS]
     lines = []
     by_list: dict[str, list[CategoryStats]] = {}
-    for row in report.rows:
+    for row in report:
         by_list.setdefault(row.list_id, []).append(row)
     for list_id, rows in by_list.items():
         lines.append(f"[{list_id}]")
         widths = [max(len(header[0]), max(len(r.category) for r in rows))]
-        widths += [max(len(name), 6) for name in comparisons]
+        widths += [max(len(name), 6) for name in COMPARISONS]
         lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
         for row in rows:
             cells = [row.category.ljust(widths[0])]
-            for j, name in enumerate(comparisons, start=1):
-                cells.append(_format_cell(row.results.get(name, "-")).ljust(widths[j]))
+            for j, name in enumerate(COMPARISONS, start=1):
+                cells.append(_format_cell(row.results[name]).ljust(widths[j]))
             lines.append("  ".join(cells).rstrip())
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 
 
-def write_stats_csv(report: StatsReport, path: str | Path, provenance: dict | None = None):
+def write_stats_csv(report: "list[CategoryStats]", path: str | Path, provenance: dict | None = None):
     with csv_artifact(path, provenance) as writer:
         writer.writerow(
             ["list", "category", "comparison", "statistic", "df", "p_value", "yates", "stars"]
         )
-        comparisons = ["Overall"] + [name for name, _ in PAIRWISE_COMPARISONS]
-        for row in report.rows:
-            for name in comparisons:
-                result = row.results.get(name)
-                if result is None:
-                    continue
+        for row in report:
+            for name in COMPARISONS:
+                result = row.results[name]
                 if isinstance(result, str):
                     writer.writerow([row.list_id, row.category, name, "", "", "", "", result])
                 else:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written via a different route than the
 library code: pair-by-pair brute force for the clustering indices,
-numerical integration for the chi-square survival function, SVD for PCA,
+numerical integration for the chi-square survival function, a loop over
+notes for the per-category counts of a matrix, SVD for PCA,
 exhaustive assignment enumeration for k-means, and one ``json.dumps`` of the
 whole blob for the response-cache key. Slow and simple wins.
 """
@@ -135,6 +136,36 @@ def chi2_stat_oracle(table, correction: float = 0.0) -> tuple:
             deviation = max(abs(table[i][j] - expected) - correction, 0.0)
             stat += deviation * deviation / expected
     return stat, (rows - 1) * (cols - 1)
+
+
+# ---------------------------------------------------------------------------
+# per-category counts of a feature matrix, one note at a time
+
+
+def matrix_counts_oracle(matrix, granularity: str) -> list:
+    """(list_id, category, totals, nones) per subject, in the order of first column.
+
+    A subject is every column sharing a (namespace, category), or one column,
+    named by its key, at phenotype granularity. A note is present when any
+    column of the subject is 1.
+    """
+    subjects: dict = {}
+    for col in matrix.columns:
+        if granularity == "category":
+            name = (col.list_id, col.category)
+        else:
+            name = (col.list_id, col.key)
+        subjects.setdefault(name, []).append(col.index)
+    out = []
+    for (list_id, category), indices in subjects.items():
+        totals: dict = {}
+        nones: dict = {}
+        for i, cohort in enumerate(matrix.cohorts):
+            totals[cohort] = totals.get(cohort, 0) + 1
+            present = any(int(matrix.data[i, j]) == 1 for j in indices)
+            nones[cohort] = nones.get(cohort, 0) + (0 if present else 1)
+        out.append((list_id, category, totals, nones))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,8 @@ def test_criterion_01_reference_star_grid_reproduced(tmp_path):
         counts.extend(load_counts_fixture(data_path(name)))
     report = analyze_fixture(counts)
     elapsed = time.perf_counter() - started
-    assert len(report.rows) == 11
-    for row in report.rows:
+    assert len(report) == 11
+    for row in report:
         expected = EXPECTED_STARS[row.category]
         for comparison, stars in zip(COMPARISONS, expected):
             result = row.results[comparison]
@@ -120,7 +120,7 @@ def test_criterion_01_reference_star_grid_reproduced(tmp_path):
 def test_criterion_02_comorbidities_overall_anchor():
     counts = load_counts_fixture(data_path("counts_list1.csv"))
     report = analyze_fixture(counts)
-    row = next(r for r in report.rows if r.category == "Comorbidities")
+    row = next(r for r in report if r.category == "Comorbidities")
     overall = row.results["Overall"]
     assert overall.df == 2
     assert overall.p_value == pytest.approx(0.007, abs=0.001)

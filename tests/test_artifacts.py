@@ -1,5 +1,5 @@
 """``artifacts.py`` is the only module of the package that opens, reads, writes or
-renames a file, or opens a SQLite database."""
+renames a file, makes a directory, or opens a SQLite database."""
 
 import ast
 import re
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pheno_mine.artifacts import PROVENANCE_PREFIX, read_csv
+from pheno_mine.artifacts import PROVENANCE_PREFIX, parse_json, read_csv
 from pheno_mine.errors import MatrixError
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pheno_mine"
@@ -27,7 +27,7 @@ def _mode(call: ast.Call, position: int):
 def _writes(call: ast.Call) -> bool:
     func = call.func
     if isinstance(func, ast.Attribute):
-        if func.attr in ("write_text", "write_bytes"):
+        if func.attr in ("write_text", "write_bytes", "mkdir"):
             return True
         if func.attr in ("replace", "rename"):
             return isinstance(func.value, ast.Name) and func.value.id == "os"
@@ -50,7 +50,8 @@ def _connects(tree: ast.Module) -> set:
 
 
 def writes(source: str) -> list:
-    """Line and text of each call in ``source`` that writes or renames a file or opens a database."""
+    """Line and text of each call in ``source`` that writes or renames a file, makes a
+    directory or opens a database."""
     tree = ast.parse(source)
     connects = _connects(tree)
     return [
@@ -65,6 +66,7 @@ def writes(source: str) -> list:
     [
         "Path(p).write_text('x')",
         "p.write_bytes(b'')",
+        "Path(p).mkdir(parents=True, exist_ok=True)",
         "open(p, 'w')",
         "open(p, mode='ab')",
         "p.open('x')",
@@ -165,3 +167,21 @@ def test_csv_records_carry_the_line_they_start_on(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(MatrixError, match="table must have columns b"):
         next(read_csv(path, MatrixError, "table", ("b",)))
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        (r'"\ud83d\ude00"', "\U0001f600"),  # a surrogate pair is one code point
+        (r'"\\ud800"', "\\ud800"),  # an escaped backslash, then text
+        (r'"\u00e9\n"', "\u00e9\n"),
+    ],
+)
+def test_json_escapes_that_decode_to_encodable_text_pass(text, value):
+    assert parse_json(text) == value
+
+
+@pytest.mark.parametrize("text", [r'"\ud800"', r'"\uDBFF x"', r'{"k": ["\udc00"]}', r'{"\ud800": 1}'])
+def test_json_lone_surrogate_escape_is_a_value_error(text):
+    with pytest.raises(ValueError, match="lone surrogate"):
+        parse_json(text)

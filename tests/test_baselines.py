@@ -353,11 +353,13 @@ def test_ner_ingestion_skips_malformed_lines(tmp_path, caplog):
         + "\n"
         + json.dumps({"note_id": 5, "concept": "C1", "score": 0.9})
         + "\n\n"
+        + "[" * 100_000  # nested too deeply to decode
+        + "\n"
     )
     with caplog.at_level(logging.WARNING):
         matrix = ingest_ner_annotations(path)
     assert matrix.note_ids == ["N1"]
-    assert sum("malformed" in r.message for r in caplog.records) == 4
+    assert sum("malformed" in r.message for r in caplog.records) == 5
 
 
 def test_ner_ingestion_all_malformed_is_error(tmp_path):

@@ -390,6 +390,71 @@ def test_arbitrary_input_bytes_never_end_in_a_traceback(runner, tmp_path, suffix
     assert "Traceback" not in result.output + result.stderr
 
 
+DEEP_JSON = "[" * 100_000 + "\n"
+SURROGATE_NOTE = '{"note_id": "N\\ud800", "patient_id": "P1", "text": "x"}\n'
+
+
+@pytest.mark.parametrize(
+    "name, text, command, reason",
+    [
+        ("notes.jsonl", DEEP_JSON, ["cohort", "--notes", BAD, "--diagnoses", DIAGNOSES],
+         "nested too deeply"),
+        ("config.json", DEEP_JSON, ["--config", BAD, "stats", "--builtin-fixtures"],
+         "nested too deeply"),
+        ("list.json", DEEP_JSON, [*EXTRACT, "--list", BAD], "nested too deeply"),
+        ("notes.jsonl", SURROGATE_NOTE, ["cohort", "--notes", BAD, "--diagnoses", DIAGNOSES],
+         "lone surrogate"),
+    ],
+    ids=["deep-notes", "deep-config", "deep-list", "surrogate-note-id"],
+)
+def test_undecodable_json_is_one_error_line(runner, tmp_path, name, text, command, reason):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    args = [str(path) if a == BAD else a for a in command]
+    result = runner.invoke(main, [*args, "--out-dir", str(out)])
+    assert result.exit_code == 1, result.output + result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: {path}") and result.stderr.count("\n") == 1
+    assert "invalid JSON: " in result.stderr and reason in result.stderr, result.stderr
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("cell", ["300", "-1", "2"])
+def test_matrix_cell_other_than_0_or_1_is_one_error_line(runner, extracted, tmp_path, cell):
+    provenance, header, first, *rest = Path(extracted).read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "matrix.csv"
+    fields = first.split(",")
+    path.write_text("\n".join([provenance, header, ",".join([*fields[:2], cell, *fields[3:]]), *rest]))
+    result = runner.invoke(main, ["stats", "--matrix", str(path), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output + result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {path}:3: feature cells must be 0 or 1\n"
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        (["cohort", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--out-dir", "FILE/sub"], "FILE/sub"),
+        (["cohort", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--out-manifest", "nodir/sub/m.csv"],
+         "nodir/sub/m.csv"),
+        ([*EXTRACT, "--out-dir", "FILE/sub"], "FILE/sub"),
+        (["report", "--matrix", "MATRIX", "--out-dir", "FILE/sub"], "FILE/sub"),
+        (["export-defaults", "--out-dir", "FILE/sub"], "FILE/sub"),
+    ],
+    ids=["cohort-out-dir", "cohort-out-manifest", "extract-out-dir", "report-out-dir", "export-out-dir"],
+)
+def test_write_failure_is_one_error_line(runner, extracted, tmp_path, command, target):
+    """An output path under a regular file, or under a directory that does not exist."""
+    (tmp_path / "FILE").write_text("")
+    paths = {"MATRIX": str(extracted), target: str(tmp_path / target)}
+    result = runner.invoke(main, [paths.get(a, a) for a in command])
+    assert result.exit_code == 1, result.output + result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: cannot write {tmp_path / target}: ")
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
 def test_config_file_gives_the_artifacts_of_equivalent_flags(runner, tmp_path):
     flags = ["--list", "list1", "--mode", "few_shot", "--chunk-budget", 40, "--per-patient", "--seed", 4]
     invoke(runner, *EXTRACT, *flags, "--out-dir", tmp_path / "flags")

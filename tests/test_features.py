@@ -78,13 +78,6 @@ def test_category_groups_are_ordered(combined):
     assert sum(len(ix) for ix in groups.values()) == 37
 
 
-def test_rows_for_cohort(combined):
-    matrix = small_matrix(combined)
-    assert matrix.rows_for_cohort("CN").tolist() == [0]
-    assert matrix.rows_for_cohort("ADRD").tolist() == [2]
-    assert matrix.rows_for_cohort("UNLABELED").tolist() == []
-
-
 def test_csv_roundtrip(tmp_path, combined):
     matrix = small_matrix(combined)
     path = tmp_path / "matrix.csv"
@@ -215,6 +208,13 @@ def test_from_csv_rejects_ragged_rows(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(MatrixError):
+        FeatureMatrix.from_csv(path)
+
+
+def test_from_csv_rejects_repeated_column(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("note_id,cohort,ns:cat:p,ns:cat:q,ns:cat:p\nN1,CN,1,0,1\n", encoding="utf-8")
+    with pytest.raises(MatrixError, match="'ns:cat:p' appears more than once"):
         FeatureMatrix.from_csv(path)
 
 

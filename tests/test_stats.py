@@ -2,23 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats as scipy_stats
 
-from oracles import chi2_sf_quad, chi2_stat_oracle
+from oracles import chi2_sf_quad, chi2_stat_oracle, matrix_counts_oracle
 from pheno_mine.cli import data_path
 from pheno_mine.errors import DegenerateTableError, ParameterError, StatsError
 from pheno_mine.features import FeatureMatrix
-from pheno_mine.schema import builtin_list, feature_index
+from pheno_mine.schema import FeatureColumn, builtin_list, feature_index
 from pheno_mine.stats import (
     CategoryCounts,
     ContingencyTable,
     analyze_fixture,
     analyze_matrix,
-    build_contingency,
     chi2_survival,
     chi_square_test,
     format_stats_table,
     load_counts_fixture,
+    matrix_counts,
     significance_stars,
     write_stats_csv,
 )
@@ -192,7 +195,7 @@ def test_table_validation():
 
 
 # ---------------------------------------------------------------------------
-# contingency construction from matrices
+# per-category counts of a matrix
 
 
 def two_cohort_matrix():
@@ -212,46 +215,49 @@ def two_cohort_matrix():
     )
 
 
-def test_build_contingency_category_presence_is_any_column():
+def test_matrix_counts_category_presence_is_any_column():
     matrix = two_cohort_matrix()
-    table = build_contingency(matrix, "Memory Indicators", cohorts=("CN", "ADRD"))
+    memory = matrix_counts(matrix)[0]
+    assert (memory.list_id, memory.category) == ("list1", "Memory Indicators")
     # CN: notes 0,1 have some memory column set; ADRD: only note 3
-    assert table.cells == ((2, 1), (1, 2))
-    assert table.col_labels == ("CN", "ADRD")
+    assert memory.totals == {"CN": 3, "ADRD": 3}
+    assert memory.nones == {"CN": 1, "ADRD": 2}
+    assert memory.contingency(("CN", "ADRD")).cells == ((2, 1), (1, 2))
 
 
-def test_build_contingency_phenotype_granularity():
+def test_matrix_counts_phenotype_granularity_counts_each_column():
     matrix = two_cohort_matrix()
-    table = build_contingency(
-        matrix,
-        "list1:Memory Indicators:repeating",
-        cohorts=("CN", "ADRD"),
-        granularity="phenotype",
-    )
-    assert table.cells == ((1, 1), (2, 2))
-    by_id = build_contingency(
-        matrix, "repeating", cohorts=("CN", "ADRD"), granularity="phenotype"
-    )
-    assert by_id.cells == table.cells
+    counts = matrix_counts(matrix, granularity="phenotype")
+    assert [c.category for c in counts] == matrix.column_keys
+    repeating, misplacing = counts[:2]
+    assert repeating.category == "list1:Memory Indicators:repeating"
+    assert repeating.contingency(("CN", "ADRD")).cells == ((1, 1), (2, 2))
+    assert misplacing.contingency(("CN", "ADRD")).cells == ((1, 1), (2, 2))
+    with pytest.raises(ParameterError, match="granularity"):
+        matrix_counts(matrix, granularity="note")
 
 
-def test_build_contingency_unknown_and_empty_cohort():
-    matrix = two_cohort_matrix()
-    with pytest.raises(StatsError, match="unknown category"):
-        build_contingency(matrix, "Wrong", cohorts=("CN", "ADRD"))
-    with pytest.raises(StatsError, match="no rows"):
-        build_contingency(matrix, "Memory Indicators", cohorts=("CN", "MCI"))
+@st.composite
+def labelled_matrices(draw):
+    """0/1 matrices over columns whose (namespace, category) groups may interleave."""
+    width = draw(st.integers(1, 8))
+    columns = [
+        FeatureColumn(i, draw(st.sampled_from("ab")), draw(st.sampled_from("XYZ")), f"p{i}")
+        for i in range(width)
+    ]
+    height = draw(st.integers(0, 15))
+    cohorts = draw(st.lists(st.sampled_from(["CN", "MCI", "ADRD", "UNLABELED"]),
+                            min_size=height, max_size=height))
+    data = draw(arrays(np.int8, (height, width), elements=st.integers(0, 1)))
+    return FeatureMatrix([f"N{i}" for i in range(height)], cohorts, columns, data)
 
 
-def test_build_contingency_ambiguous_phenotype_id(combined):
-    columns = feature_index(combined)
-    data = np.zeros((2, len(columns)), dtype=np.int8)
-    matrix = FeatureMatrix(
-        note_ids=["N1", "N2"], cohorts=["CN", "ADRD"], columns=columns, data=data
-    )
-    # "misplacing" exists in both list1 and list2
-    with pytest.raises(StatsError, match="ambiguous"):
-        build_contingency(matrix, "misplacing", cohorts=("CN", "ADRD"), granularity="phenotype")
+@settings(max_examples=150, deadline=None)
+@given(matrix=labelled_matrices(), granularity=st.sampled_from(["category", "phenotype"]))
+def test_matrix_counts_match_note_by_note_oracle(matrix, granularity):
+    counts = matrix_counts(matrix, granularity)
+    got = [(c.list_id, c.category, c.totals, c.nones) for c in counts]
+    assert got == matrix_counts_oracle(matrix, granularity)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +290,8 @@ def test_counts_contingency_is_presence_by_cohort():
 def test_analyze_fixture_emits_overall_plus_three_pairwise():
     counts = load_counts_fixture(data_path("counts_list1.csv"))
     report = analyze_fixture(counts)
-    assert len(report.rows) == 6
-    first = report.rows[0]
+    assert len(report) == 6
+    first = report[0]
     assert list(first.results.keys()) == [
         "Overall",
         "CN vs. MCI",
@@ -316,7 +322,7 @@ def test_degenerate_cells_become_untestable_strings(combined):
         data=data,
     )
     report = analyze_matrix(matrix)
-    for category in report.rows:
+    for category in report:
         for cell in category.results.values():
             assert isinstance(cell, str)
             assert cell.startswith("untestable")
