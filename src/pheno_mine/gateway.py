@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import urlparse
 
-import requests
-
 from .artifacts import ResponseStore, read_csv_rows, read_text
 from .errors import (
     BackendError,
@@ -183,30 +181,27 @@ class HttpChatBackend:
 
     backend_id = "http"
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key: str | None = None,
-        timeout: float = 60.0,
-        post=requests.post,
-    ):
+    def __init__(self, base_url: str, api_key: str | None = None, timeout: float = 60.0):
         if not base_url:
             raise ConfigError("http backend requires a base URL")
         self.base_url = base_url.rstrip("/")
+        try:
+            parsed = urlparse(self.base_url)
+            port = parsed.port
+        except ValueError as exc:  # a port outside 0-65535 or not a number, a bad [IPv6]
+            raise ConfigError(f"cannot parse base URL {base_url!r}: {exc}") from None
+        if parsed.scheme not in ("http", "https") or not parsed.hostname:
+            raise ConfigError(f"base URL needs an http or https scheme and a host, got {base_url!r}")
+        self.host = parsed.hostname
+        self.port = port if port is not None else 443 if parsed.scheme == "https" else 80
         self.url = f"{self.base_url}/v1/chat/completions"
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV_VAR)
         self.timeout = timeout
-        self._post = post
 
     def preflight(self):
         """Fail fast with a clear message when the endpoint is unreachable."""
-        parsed = urlparse(self.base_url)
-        host = parsed.hostname
-        port = parsed.port or (443 if parsed.scheme == "https" else 80)
-        if not host:
-            raise ConfigError(f"cannot parse endpoint host from {self.base_url!r}")
         try:
-            with socket.create_connection((host, port), timeout=5.0):
+            with socket.create_connection((self.host, self.port), timeout=5.0):
                 pass
         except OSError as exc:
             raise TransportError(
@@ -214,6 +209,10 @@ class HttpChatBackend:
             ) from exc
 
     def complete_text(self, request: CompletionRequest) -> str:
+        import http.client  # these three are loaded only by runs that use HTTP
+        import urllib.error
+        import urllib.request
+
         payload = {
             "model": request.model,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -223,26 +222,31 @@ class HttpChatBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        post = urllib.request.Request(self.url, json.dumps(payload).encode("utf-8"), headers)
         try:
-            resp = self._post(self.url, json=payload, headers=headers, timeout=self.timeout)
-        except (requests.Timeout, requests.ConnectionError) as exc:
+            try:
+                with urllib.request.urlopen(post, timeout=self.timeout) as resp:
+                    status, reply_headers, raw = resp.status, resp.headers, resp.read()
+            except urllib.error.HTTPError as exc:  # every non-2xx status
+                with exc:
+                    status, reply_headers, raw = exc.code, exc.headers, exc.read()
+        except (OSError, http.client.HTTPException) as exc:  # HTTPError is an OSError too
             raise TransientBackendError(f"request to {self.url} failed: {exc}") from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
+        if status == 429 or status >= 500:
             # only the delta-seconds form; an HTTP-date keeps the usual backoff
-            header = resp.headers.get("Retry-After", "").strip()
+            header = reply_headers.get("Retry-After", "").strip()
             raise TransientBackendError(
-                f"HTTP {resp.status_code} from {self.url}",
+                f"HTTP {status} from {self.url}",
                 retry_after=float(header) if header.isascii() and header.isdigit() else None,
             )
-        if resp.status_code >= 400:
-            raise BackendError(f"HTTP {resp.status_code} from {self.url}: {resp.text[:200]}")
+        if status >= 300:
+            raise BackendError(f"HTTP {status} from {self.url}: {raw[:200].decode(errors='replace')}")
         try:
-            body = resp.json()
-            text = body["choices"][0]["message"]["content"]
+            text = json.loads(raw)["choices"][0]["message"]["content"]
             if not isinstance(text, str):
                 raise TypeError("message content is not a string")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            logger.error("malformed completion body from %s: %r", self.url, resp.text[:500])
+            logger.error("malformed completion body from %s: %r", self.url, raw[:500])
             raise ProtocolError(f"cannot parse completion response: {exc}") from exc
         return text
 

@@ -307,6 +307,8 @@ def analyze_matrix(
     granularity: str = "category",
     cohorts: tuple = DEFAULT_COHORTS,
 ) -> "list[CategoryStats]":
+    if not matrix.columns:
+        raise StatsError("matrix has no phenotype column")
     present_cohorts = set(matrix.cohorts)
     missing = [c for c in cohorts if c not in present_cohorts]
     if missing:

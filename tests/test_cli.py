@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import socket
 import sqlite3
 import subprocess
 import sys
@@ -489,6 +490,27 @@ def test_extract_unreachable_endpoint_fails_before_artifacts(runner, tmp_path):
     assert list(out.iterdir()) == []  # nothing was written
 
 
+@pytest.mark.parametrize(
+    "url",
+    ["http://127.0.0.1:99999", "http://127.0.0.1:abc", "ftp://127.0.0.1:LIVE"],
+    ids=["port-out-of-range", "port-not-a-number", "ftp-with-a-listener"],
+)
+def test_bad_base_url_is_one_error_line(runner, tmp_path, url):
+    out = tmp_path / "out"
+    # A live listener, so that only the URL's scheme is wrong.
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        url = url.replace("LIVE", str(listener.getsockname()[1]))
+        result = runner.invoke(
+            main,
+            ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES,
+             "--backend", "http", "--base-url", url, "--out-dir", str(out)],
+        )
+    assert result.exit_code == 1, result.output + result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # extract (live local endpoint)
 
@@ -663,13 +685,13 @@ def test_extract_without_a_cache_never_loads_sqlite3(tmp_path):
     code = (
         "import sys; from pheno_mine.cli import main\n"
         f"main({args!r}, standalone_mode=False)\n"
-        "print('sqlite3' in sys.modules)"
+        "print(sorted({'sqlite3', 'requests', 'urllib.request'} & set(sys.modules)))"
     )
     path = [str(Path(pheno_mine.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "feature_matrix.csv").is_file()
 
 
@@ -767,6 +789,18 @@ def test_stats_requires_exactly_one_source(runner, extracted, tmp_path):
     assert "exactly one" in result.stderr
     result = runner.invoke(main, ["stats", "--out-dir", str(tmp_path)])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+def test_matrix_without_phenotype_columns_is_one_error_line(runner, extracted, tmp_path, command):
+    provenance = Path(extracted).read_text(encoding="utf-8").splitlines()[0]
+    path = tmp_path / "matrix.csv"
+    path.write_text("\n".join([provenance, "note_id,cohort", "N1,CN", "N2,MCI", "N3,ADRD", ""]))
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--matrix", str(path), "--out-dir", str(out)])
+    assert result.exit_code == 1, result.output + result.stderr
+    assert result.stderr == "error: matrix has no phenotype column\n"
+    assert list(out.iterdir()) == []
 
 
 def test_cluster_default_settings(runner, extracted, tmp_path):

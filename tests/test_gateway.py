@@ -3,6 +3,7 @@ import http.server
 import json
 import logging
 import os
+import socket
 import sqlite3
 import sys
 import tempfile
@@ -12,7 +13,6 @@ from contextlib import closing
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -407,16 +407,19 @@ def test_batch_rejects_bad_parallelism(mock_gateway):
 
 
 class ScriptedHandler(http.server.BaseHTTPRequestHandler):
-    script = []  # list of (status, body-dict-or-str)
+    script = []  # list of (status, body-dict-or-str) or (status, body, headers)
     seen = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length))
         type(self).seen.append((self.path, dict(self.headers), payload))
-        status, body = self.script[min(len(self.seen) - 1, len(self.script) - 1)]
+        entry = self.script[min(len(self.seen) - 1, len(self.script) - 1)]
+        status, body, headers = (*entry, {})[:3]
         data = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
         self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -486,17 +489,6 @@ def test_http_429_then_success_via_gateway(scripted_server):
     assert sleeps == [1.0, 2.0]
 
 
-class ScriptedResponse:
-    def __init__(self, status_code, body, headers=None):
-        self.status_code = status_code
-        self.headers = headers or {}
-        self.text = json.dumps(body)
-        self._body = body
-
-    def json(self):
-        return self._body
-
-
 @pytest.mark.parametrize(
     "retry_after, sleeps",
     [
@@ -507,14 +499,14 @@ class ScriptedResponse:
         ("1.5", [1.0]),  # delta-seconds are whole
     ],
 )
-def test_http_429_waits_for_delta_seconds_retry_after(retry_after, sleeps):
-    responses = [
-        ScriptedResponse(429, {"error": "slow down"}, {"Retry-After": retry_after}),
-        ScriptedResponse(200, completion_body("recovered")),
+def test_http_429_waits_for_delta_seconds_retry_after(scripted_server, retry_after, sleeps):
+    base_url, handler = scripted_server
+    handler.script = [
+        (429, {"error": "slow down"}, {"Retry-After": retry_after}),
+        (200, completion_body("recovered")),
     ]
-    backend = HttpChatBackend("http://127.0.0.1:1", post=lambda *a, **k: responses.pop(0))
     slept = []
-    gateway = LlmGateway(backend, sleep=slept.append)
+    gateway = LlmGateway(HttpChatBackend(base_url), sleep=slept.append)
     assert gateway.complete(CompletionRequest(prompt="p")).text == "recovered"
     assert slept == sleeps
 
@@ -547,22 +539,30 @@ def test_http_malformed_body_is_protocol_error(scripted_server):
         backend.complete_text(CompletionRequest(prompt="p"))
 
 
-def test_connection_error_is_transient(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise requests.ConnectionError("refused")
+def test_http_redirect_is_permanent(scripted_server):
+    """urllib follows no 307 or 308 for a POST."""
+    base_url, handler = scripted_server
+    handler.script = [(307, {"error": "moved"}, {"Location": f"{base_url}/v2/chat/completions"})]
+    backend = HttpChatBackend(base_url)
+    with pytest.raises(BackendError, match="307"):
+        backend.complete_text(CompletionRequest(prompt="p"))
+    assert [path for path, _, _ in handler.seen] == ["/v1/chat/completions"]
 
-    backend = HttpChatBackend("http://127.0.0.1:1", post=refuse)
+
+def test_connection_error_is_transient():
+    with socket.create_server(("127.0.0.1", 0)) as closed:
+        port = closed.getsockname()[1]
+    backend = HttpChatBackend(f"http://127.0.0.1:{port}")
     with pytest.raises(TransientBackendError):
         backend.complete_text(CompletionRequest(prompt="p"))
 
 
 def test_timeout_is_transient():
-    def too_slow(*args, **kwargs):
-        raise requests.Timeout("deadline")
-
-    backend = HttpChatBackend("http://127.0.0.1:1", post=too_slow)
-    with pytest.raises(TransientBackendError):
-        backend.complete_text(CompletionRequest(prompt="p"))
+    # The kernel completes the handshake, but nothing ever answers.
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        backend = HttpChatBackend(f"http://127.0.0.1:{silent.getsockname()[1]}", timeout=0.2)
+        with pytest.raises(TransientBackendError):
+            backend.complete_text(CompletionRequest(prompt="p"))
 
 
 def test_preflight_unreachable_endpoint():
