@@ -184,6 +184,8 @@ class HttpChatBackend:
     def __init__(self, base_url: str, api_key: str | None = None, timeout: float = 60.0):
         if not base_url:
             raise ConfigError("http backend requires a base URL")
+        if " " in base_url or not (base_url.isascii() and base_url.isprintable()):
+            raise ConfigError(f"base URL must be printable ASCII without spaces, got {base_url!r}")
         self.base_url = base_url.rstrip("/")
         try:
             parsed = urlparse(self.base_url)
@@ -213,16 +215,15 @@ class HttpChatBackend:
         import urllib.error
         import urllib.request
 
-        payload = {
+        body = json.dumps({
             "model": request.model,
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
-        }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        post = urllib.request.Request(self.url, json.dumps(payload).encode("utf-8"), headers)
+        }).encode("utf-8")
+        post = urllib.request.Request(self.url, body, {"Content-Type": "application/json"})
+        if self.api_key:  # urllib copies no unredirected header onto a redirect
+            post.add_unredirected_header("Authorization", f"Bearer {self.api_key}")
         try:
             try:
                 with urllib.request.urlopen(post, timeout=self.timeout) as resp:

@@ -492,12 +492,18 @@ def test_extract_unreachable_endpoint_fails_before_artifacts(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "url",
-    ["http://127.0.0.1:99999", "http://127.0.0.1:abc", "ftp://127.0.0.1:LIVE"],
-    ids=["port-out-of-range", "port-not-a-number", "ftp-with-a-listener"],
+    [
+        "http://127.0.0.1:99999",
+        "http://127.0.0.1:abc",
+        "ftp://127.0.0.1:LIVE",
+        "http://127.0.0.1:LIVE/a b",
+        "http://127.0.0.1:LIVE/caf\u00e9",
+    ],
+    ids=["port-out-of-range", "port-not-a-number", "ftp-with-a-listener", "space", "non-ascii"],
 )
 def test_bad_base_url_is_one_error_line(runner, tmp_path, url):
     out = tmp_path / "out"
-    # A live listener, so that only the URL's scheme is wrong.
+    # A live listener, so that only the URL's scheme or path is wrong.
     with socket.create_server(("127.0.0.1", 0)) as listener:
         url = url.replace("LIVE", str(listener.getsockname()[1]))
         result = runner.invoke(

@@ -412,7 +412,7 @@ class ScriptedHandler(http.server.BaseHTTPRequestHandler):
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length))
+        payload = json.loads(self.rfile.read(length)) if length else None
         type(self).seen.append((self.path, dict(self.headers), payload))
         entry = self.script[min(len(self.seen) - 1, len(self.script) - 1)]
         status, body, headers = (*entry, {})[:3]
@@ -424,6 +424,8 @@ class ScriptedHandler(http.server.BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+
+    do_GET = do_POST  # a followed 301/302/303 arrives as a bodiless GET
 
     def log_message(self, *args):
         pass
@@ -547,6 +549,30 @@ def test_http_redirect_is_permanent(scripted_server):
     with pytest.raises(BackendError, match="307"):
         backend.complete_text(CompletionRequest(prompt="p"))
     assert [path for path, _, _ in handler.seen] == ["/v1/chat/completions"]
+
+
+def test_http_followed_redirect_carries_no_key(scripted_server, monkeypatch):
+    class Target(ScriptedHandler):
+        script = [(200, completion_body("moved"))]
+        seen = []
+
+    target = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Target)
+    thread = threading.Thread(target=target.serve_forever, daemon=True)
+    thread.start()
+    try:
+        base_url, handler = scripted_server
+        location = f"http://127.0.0.1:{target.server_address[1]}/elsewhere"
+        handler.script = [(302, {"error": "moved"}, {"Location": location})]
+        monkeypatch.setenv(API_KEY_ENV_VAR, "sekret")
+        assert HttpChatBackend(base_url).complete_text(CompletionRequest(prompt="p")) == "moved"
+    finally:
+        target.shutdown()
+        target.server_close()
+        thread.join(timeout=5)
+    assert handler.seen[0][1]["Authorization"] == "Bearer sekret"
+    [(path, headers, payload)] = Target.seen
+    assert (path, payload) == ("/elsewhere", None)
+    assert "Authorization" not in headers
 
 
 def test_connection_error_is_transient():
