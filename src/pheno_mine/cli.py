@@ -27,7 +27,7 @@ from .clustering import (
     evaluate_clustering,
     write_clustering_report,
 )
-from .errors import ConfigError, PhenoMineError
+from .errors import CohortError, ConfigError, PhenoMineError
 from .features import FeatureMatrix
 from .gateway import (
     DEFAULT_MODEL,
@@ -241,11 +241,7 @@ def cohort_cmd(notes_path, diagnoses_path, out_manifest, sample_per_cohort, draw
     """Label notes with CN/MCI/ADRD cohorts and write the run manifest."""
     out = artifact_dir(out_dir)
     manifest_path = Path(out_manifest) if out_manifest else out / "manifest.csv"
-    notes = cohort_mod.load_notes(notes_path)
-    diagnoses = cohort_mod.load_diagnoses(diagnoses_path)
-    labeled = cohort_mod.label_notes(notes, diagnoses)
-    manifest = cohort_mod.build_manifest(labeled, seed=seed)
-    manifest = _apply_sampling(manifest, sample_per_cohort, seed, draws)
+    manifest = _run_manifest(notes_path, None, diagnoses_path, sample_per_cohort, draws, seed)
     provenance = _provenance(
         {
             "command": "cohort",
@@ -263,16 +259,30 @@ def cohort_cmd(notes_path, diagnoses_path, out_manifest, sample_per_cohort, draw
     )
 
 
-def _apply_sampling(manifest, sample_per_cohort, seed, draws):
-    """Cap each cohort at the target size; cohorts already at or under it pass through."""
-    if not sample_per_cohort:
-        return manifest
-    for cohort in cohort_mod.COHORTS:
-        available = manifest.counts[cohort]
-        if available > sample_per_cohort:
-            manifest = cohort_mod.sample_cohort(
-                manifest, cohort, sample_per_cohort, seed=seed, draws=draws
-            )
+def _run_manifest(notes_path, manifest_path, diagnoses_path, sample_per_cohort, draws, seed):
+    """The notes to run: those ``manifest_path`` lists, else every note that ``diagnoses_path``
+    labels, each cohort capped at ``sample_per_cohort``. Reads no note's text."""
+    notes = cohort_mod.load_notes(notes_path)
+    if manifest_path:
+        manifest = cohort_mod.load_manifest(manifest_path)
+    elif diagnoses_path:
+        diagnoses = cohort_mod.load_diagnoses(diagnoses_path)
+        manifest = cohort_mod.build_manifest(cohort_mod.label_notes(notes, diagnoses), seed=seed)
+    else:
+        raise ConfigError("extract needs --manifest or --diagnoses to define cohorts")
+    if sample_per_cohort:
+        for cohort in cohort_mod.COHORTS:
+            if manifest.counts[cohort] > sample_per_cohort:
+                manifest = cohort_mod.sample_cohort(
+                    manifest, cohort, sample_per_cohort, seed=seed, draws=draws
+                )
+    known = {n.note_id for n in notes}
+    missing = [e.note_id for e in manifest.entries if e.note_id not in known]
+    if missing:
+        raise ConfigError(
+            f"manifest references {len(missing)} note(s) absent from the notes file "
+            f"(first: {missing[0]!r})"
+        )
     return manifest
 
 
@@ -329,27 +339,9 @@ def extract_cmd(
 
     plist = resolve_list(list_spec)
     with closing(_build_gateway(backend, plist, mock_rules, base_url, cache_dir)) as gateway:
-        notes = cohort_mod.load_notes(notes_path)
-        wrote_manifest = False
-        if manifest_path:
-            manifest = cohort_mod.load_manifest(manifest_path)
-        elif diagnoses_path:
-            diagnoses = cohort_mod.load_diagnoses(diagnoses_path)
-            manifest = cohort_mod.build_manifest(cohort_mod.label_notes(notes, diagnoses), seed=seed)
-            wrote_manifest = True
-        else:
-            raise ConfigError("extract needs --manifest or --diagnoses to define cohorts")
-        manifest = _apply_sampling(manifest, sample_per_cohort, seed, draws)
-
-        notes_by_id = {n.note_id: n for n in notes}
-        missing = [e.note_id for e in manifest.entries if e.note_id not in notes_by_id]
-        if missing:
-            raise ConfigError(
-                f"manifest references {len(missing)} note(s) absent from the notes file "
-                f"(first: {missing[0]!r})"
-            )
-        selected = [notes_by_id[e.note_id] for e in manifest.entries]
-
+        manifest = _run_manifest(
+            notes_path, manifest_path, diagnoses_path, sample_per_cohort, draws, seed
+        )
         options = {
             "command": "extract",
             "list": plist.list_id,
@@ -364,8 +356,9 @@ def extract_cmd(
         provenance = _provenance(options, seed, plist.list_id, mode)
 
         started = time.perf_counter()
+        row_of = {e.note_id: row for row, e in enumerate(manifest.entries)}
         profiles, failure_count = extraction.extract_notes(
-            selected,
+            (note for note in cohort_mod.read_notes(notes_path) if note.note_id in row_of),
             plist,
             gateway,
             mode=mode,
@@ -375,10 +368,19 @@ def extract_cmd(
             temperature=temperature,
             max_output_tokens=max_output_tokens,
         )
+        found = {p.note_id for p in profiles}
+        gone = [e.note_id for e in manifest.entries if e.note_id not in found]
+        if gone:
+            raise CohortError(
+                f"{notes_path}: {len(gone)} manifest note(s) were gone when the notes were read "
+                f"again (first: {gone[0]!r}); the file changed during the run"
+            )
+        # the notes came in file order; every artifact follows the manifest
+        profiles.sort(key=lambda p: row_of[p.note_id])
         matrix = extraction.build_feature_matrix(profiles, plist, manifest)
         elapsed = time.perf_counter() - started
 
-        if wrote_manifest:
+        if not manifest_path:
             cohort_mod.write_manifest(manifest, out / "manifest.csv", provenance)
         matrix.to_csv(out / "feature_matrix.csv", provenance)
         extraction.write_reject_log(profiles, out / "reject_log.jsonl")
@@ -390,7 +392,7 @@ def extract_cmd(
         requests_total = gateway.cache_hits + gateway.cache_misses
         report = {
             "provenance": provenance,
-            "notes": len(selected),
+            "notes": len(profiles),
             "cohort_counts": manifest.counts,
             "requests": requests_total,
             "failures": failure_count,
@@ -609,7 +611,7 @@ def baseline_cmd(
     if method == "dictionary":
         if not notes_path or not terms_path:
             raise ConfigError("dictionary baseline needs --notes and --terms")
-        notes = cohort_mod.load_notes(notes_path)
+        notes = list(cohort_mod.read_notes(notes_path))
         if cohort_of:
             notes = [
                 n for n in notes if n.note_id in cohort_of

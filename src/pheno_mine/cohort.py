@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .artifacts import csv_artifact, parse_json, read_csv_rows, read_lines
@@ -253,28 +254,35 @@ def _note_from_mapping(row, source: str) -> NoteRecord:
     )
 
 
-def load_notes(path: str | Path) -> "list[NoteRecord]":
-    """Read notes from JSONL (one object per line) or CSV, by file extension."""
-    notes: list[NoteRecord] = []
+def read_notes(path: str | Path) -> "Iterator[NoteRecord]":
+    """Yield the notes of a JSONL (one object per line) or CSV file, by file extension,
+    one at a time and each checked as it is read; a repeated note_id raises."""
     if Path(path).suffix.lower() == ".jsonl":
-        for lineno, line in read_lines(path, CohortError):
-            if not line.strip():
-                continue
+        rows = _jsonl_rows(path)
+    else:
+        rows = read_csv_rows(path, CohortError, "notes file", ("note_id", "patient_id", "text"))
+    seen: set[str] = set()
+    for lineno, row in rows:
+        note = _note_from_mapping(row, f"{path}:{lineno}")
+        if note.note_id in seen:
+            raise CohortError(f"{path}: duplicate note_id {note.note_id!r}")
+        seen.add(note.note_id)
+        yield note
+
+
+def _jsonl_rows(path: str | Path):
+    for lineno, line in read_lines(path, CohortError):
+        if line.strip():
             try:
-                row = parse_json(line)
+                yield lineno, parse_json(line)
             except ValueError as exc:
                 raise CohortError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            notes.append(_note_from_mapping(row, f"{path}:{lineno}"))
-    else:
-        columns = ("note_id", "patient_id", "text")
-        for lineno, row in read_csv_rows(path, CohortError, "notes file", columns):
-            notes.append(_note_from_mapping(row, f"{path}:{lineno}"))
-    seen: set[str] = set()
-    for n in notes:
-        if n.note_id in seen:
-            raise CohortError(f"{path}: duplicate note_id {n.note_id!r}")
-        seen.add(n.note_id)
-    return notes
+
+
+def load_notes(path: str | Path) -> "list[NoteRecord]":
+    """The first of ``extract``'s two reads of a notes file: every note, checked, with
+    its text dropped; the labels and the manifest need only the other fields."""
+    return [replace(note, text="") for note in read_notes(path)]
 
 
 def write_manifest(manifest: CohortManifest, path: str | Path, provenance: dict | None = None):

@@ -40,6 +40,7 @@ class ExtractionProfile:
     """Per-note extraction result: category key -> set of phenotype ids."""
 
     note_id: str
+    # only categories with a phenotype found: a run holds every note's profile
     present: dict = field(default_factory=dict)
     rejects: list = field(default_factory=list)
     # (chunk index, category key) pairs whose completion failed
@@ -118,7 +119,8 @@ def _merge_result(
 ):
     unknown: list[str] = []
     ids = parse_response(text, category, rejects=unknown)
-    profile.present.setdefault(category.key(), set()).update(ids)
+    if ids:
+        profile.present.setdefault(category.key(), set()).update(ids)
     for token in unknown:
         profile.rejects.append(
             RejectedToken(profile.note_id, chunk.chunk_index, category.key(), token)
@@ -199,8 +201,7 @@ def build_feature_matrix(
     for row, entry in enumerate(manifest.entries):
         profile = by_note.get(entry.note_id)
         if profile is None:
-            logger.warning("note %s has no extraction profile; row left all-zero", entry.note_id)
-            continue
+            raise MatrixError(f"manifest note {entry.note_id!r} has no extraction profile")
         for category_key, ids in profile.present.items():
             for pid in ids:
                 key = f"{category_key}:{pid}"

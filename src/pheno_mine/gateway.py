@@ -211,7 +211,8 @@ class HttpChatBackend:
             ) from exc
 
     def complete_text(self, request: CompletionRequest) -> str:
-        import http.client  # these three are loaded only by runs that use HTTP
+        import http.client  # these four are loaded only by runs that use HTTP
+        import ssl
         import urllib.error
         import urllib.request
 
@@ -232,6 +233,9 @@ class HttpChatBackend:
                 with exc:
                     status, reply_headers, raw = exc.code, exc.headers, exc.read()
         except (OSError, http.client.HTTPException) as exc:  # HTTPError is an OSError too
+            if isinstance(getattr(exc, "reason", exc), ssl.SSLCertVerificationError):
+                # no retry gets past a certificate that the client does not trust
+                raise BackendError(f"request to {self.url} failed: {exc}") from exc
             raise TransientBackendError(f"request to {self.url} failed: {exc}") from exc
         if status == 429 or status >= 500:
             # only the delta-seconds form; an HTTP-date keeps the usual backoff

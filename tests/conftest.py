@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pheno_mine.cli import data_path
-from pheno_mine.cohort import build_manifest, label_notes, load_diagnoses, load_notes
+from pheno_mine.cohort import build_manifest, label_notes, load_diagnoses, read_notes
 from pheno_mine.gateway import LlmGateway, MockBackend, MockRuleTable
 from pheno_mine.schema import builtin_list
 
@@ -28,7 +28,7 @@ def combined():
 
 @pytest.fixture(scope="session")
 def demo_notes():
-    return load_notes(data_path("demo_notes.jsonl"))
+    return list(read_notes(data_path("demo_notes.jsonl")))
 
 
 @pytest.fixture(scope="session")

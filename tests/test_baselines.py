@@ -430,9 +430,9 @@ def test_attach_cohorts_maps_known_and_defaults_unlabeled(tmp_path):
 
 def test_bundled_demo_baseline_files():
     from pheno_mine.cli import data_path
-    from pheno_mine.cohort import load_notes
+    from pheno_mine.cohort import read_notes
 
-    notes = load_notes(data_path("demo_notes.jsonl"))
+    notes = list(read_notes(data_path("demo_notes.jsonl")))
     dictionary = build_dictionary(data_path("demo_terms.csv"))
     # 'tau' is dropped by the length filter; the duplicate hypertension row
     # keeps the first concept id

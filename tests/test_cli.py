@@ -3,11 +3,13 @@
 import json
 import logging
 import os
+import random
 import socket
 import sqlite3
 import subprocess
 import sys
 import threading
+import tracemalloc
 from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -19,7 +21,10 @@ from hypothesis import strategies as st
 
 import pheno_mine
 from pheno_mine.artifacts import ResponseStore
+from pheno_mine import cohort as cohort_mod
 from pheno_mine.cli import data_path, main
+from pheno_mine.gateway import MockBackend
+from pheno_mine.schema import builtin_list, to_document
 
 NOTES = str(data_path("demo_notes.jsonl"))
 DIAGNOSES = str(data_path("demo_diagnoses.csv"))
@@ -169,6 +174,128 @@ def test_extract_rejects_non_numeric_note_fields_before_artifacts(runner, tmp_pa
         assert result.stderr.count("\n") == 1
         assert f"field '{field}' is not a number: 'unknown'" in result.stderr
         assert not out.exists() or not list(out.iterdir())
+
+
+def _demo_lines() -> list:
+    return Path(NOTES).read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def _spy_on_the_mock(monkeypatch, add: str = "") -> list:
+    """Count the mock backend's calls, appending ``add`` to every completion."""
+    calls = []
+    complete_text = MockBackend.complete_text
+
+    def spy(self, request):
+        calls.append(request)
+        return complete_text(self, request) + add
+
+    monkeypatch.setattr(MockBackend, "complete_text", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "last_line, reason",
+    [
+        pytest.param(_demo_lines()[0], "duplicate note_id", id="duplicate-id"),
+        pytest.param('{"note_id": "N99", "patient_id": "P99"}\n', "field 'text'", id="no-text"),
+        pytest.param('{"note_id": "N99", \n', "invalid JSON", id="bad-json"),
+    ],
+)
+def test_a_bad_last_note_fails_before_any_request(runner, tmp_path, monkeypatch, last_line, reason):
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text("".join(_demo_lines()) + last_line)
+    calls = _spy_on_the_mock(monkeypatch)
+    out = tmp_path / "out"
+    result = invoke(
+        runner, "extract", "--notes", notes, "--diagnoses", DIAGNOSES, "--out-dir", out, expect=1
+    )
+    assert result.stderr.count("\n") == 1 and reason in result.stderr
+    assert calls == []
+    assert not list(out.iterdir())
+
+
+def test_notes_changed_between_the_two_reads_is_one_error_line(runner, tmp_path, monkeypatch):
+    lines = _demo_lines()
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text("".join(lines))
+    load_notes = cohort_mod.load_notes
+
+    def load_then_truncate(path):
+        loaded = load_notes(path)
+        notes.write_text("".join(lines[:-3]))
+        return loaded
+
+    monkeypatch.setattr(cohort_mod, "load_notes", load_then_truncate)
+    out = tmp_path / "out"
+    result = invoke(
+        runner, "extract", "--notes", notes, "--diagnoses", DIAGNOSES, "--out-dir", out, expect=1
+    )
+    missing = json.loads(lines[-3])["note_id"]
+    assert result.stderr == (
+        f"error: {notes}: 3 manifest note(s) were gone when the notes were read again "
+        f"(first: {missing!r}); the file changed during the run\n"
+    )
+    assert not list(out.iterdir())
+
+
+def test_artifact_rows_follow_a_permuted_manifest(runner, tmp_path, monkeypatch):
+    _spy_on_the_mock(monkeypatch, add=", not a phenotype")  # one reject per completion
+    args = ["extract", "--notes", NOTES, "--chunk-budget", 40]
+    invoke(runner, *args, "--diagnoses", DIAGNOSES, "--out-dir", tmp_path / "file_order")
+    first = tmp_path / "file_order"
+    provenance, header, *rows = (first / "manifest.csv").read_text().splitlines(keepends=True)
+    random.Random(5).shuffle(rows)
+    manifest = tmp_path / "permuted.csv"
+    manifest.write_text(provenance + header + "".join(rows))
+    invoke(runner, *args, "--manifest", manifest, "--out-dir", tmp_path / "permuted")
+
+    order = [row.split(",")[0] for row in rows]
+    for name, note_of in [
+        ("feature_matrix.csv", lambda line: line.split(",")[0]),
+        ("reject_log.jsonl", lambda line: json.loads(line)["note_id"]),
+    ]:
+        lines = (first / name).read_text().splitlines(keepends=True)
+        head = 2 if name.endswith(".csv") else 0
+        body = sorted(lines[head:], key=lambda line: order.index(note_of(line)))
+        assert (tmp_path / "permuted" / name).read_text() == "".join(lines[:head] + body)
+    assert len((first / "reject_log.jsonl").read_text().splitlines()) > len(order)
+
+
+def _note_lines(count: int, chars: int) -> str:
+    text = ("Seen today for review of memory loss and hypertension. " * (chars // 50))[:chars]
+    return "".join(
+        json.dumps({"note_id": f"N{i}", "patient_id": f"P{i}", "text": text, "age": 70,
+                    "history_years": 5, "on_dementia_meds": False}) + "\n"
+        for i in range(count)
+    )
+
+
+def test_extract_memory_does_not_grow_with_note_text(runner, tmp_path):
+    # one category, and one chunk per note: one request per note
+    one_category = tmp_path / "one_category.json"
+    document = to_document(builtin_list("list1"))
+    document["categories"] = document["categories"][1:2]
+    one_category.write_text(json.dumps(document))
+    diagnoses = tmp_path / "diagnoses.csv"
+    diagnoses.write_text("patient_id,icd_version,icd_code\n")
+    chars, small = 20_000, 40
+
+    def peak(notes: int) -> int:
+        path = tmp_path / f"{notes}.jsonl"
+        path.write_text(_note_lines(notes, chars))
+        args = ["extract", "--notes", path, "--diagnoses", diagnoses, "--list", one_category,
+                "--chunk-budget", 8192, "--out-dir", tmp_path / str(notes)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            invoke(runner, *args)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    peak(small)  # loads whatever a first run loads
+    added_text = 3 * small * chars
+    assert peak(4 * small) - peak(small) < added_text / 3
 
 
 def test_extract_rejects_bad_config_counts_before_artifacts(runner, tmp_path):

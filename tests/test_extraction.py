@@ -219,17 +219,14 @@ def test_build_feature_matrix_rows_follow_manifest(combined, mock_gateway):
     assert matrix.data.sum() == 2
 
 
-def test_build_feature_matrix_missing_profile_is_zero_row(combined, mock_gateway, caplog):
+def test_build_feature_matrix_missing_profile_is_an_error(combined, mock_gateway):
     notes = [NoteRecord("N1", "P1", "Past medical history includes hypertension managed with lisinopril.")]
     profiles, _ = extract_notes(notes, combined, mock_gateway)
     manifest = manifest_for(
         [notes[0], NoteRecord("N2", "P2", "x")], ["CN", "ADRD"]
     )
-    with caplog.at_level("WARNING"):
-        matrix = build_feature_matrix(profiles, combined, manifest)
-    assert matrix.shape == (2, 37)
-    assert matrix.data[1].sum() == 0
-    assert any("N2" in r.message for r in caplog.records)
+    with pytest.raises(MatrixError, match="'N2' has no extraction profile"):
+        build_feature_matrix(profiles, combined, manifest)
 
 
 def test_build_feature_matrix_unknown_note_rejected(combined, mock_gateway):

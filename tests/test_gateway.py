@@ -3,13 +3,16 @@ import http.server
 import json
 import logging
 import os
+import shutil
 import socket
 import sqlite3
+import ssl
+import subprocess
 import sys
 import tempfile
 import threading
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import pytest
@@ -431,16 +434,28 @@ class ScriptedHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def scripted_server():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
-    ScriptedHandler.seen = []
+@contextmanager
+def serving(handler, tls=None):
+    """Serve ``handler`` on a loopback port, over TLS with the ``tls`` context if given;
+    yield the base URL."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}", ScriptedHandler
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    try:
+        yield f"{'https' if tls else 'http'}://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture()
+def scripted_server():
+    ScriptedHandler.seen = []
+    with serving(ScriptedHandler) as base_url:
+        yield base_url, ScriptedHandler
 
 
 def completion_body(text):
@@ -556,23 +571,76 @@ def test_http_followed_redirect_carries_no_key(scripted_server, monkeypatch):
         script = [(200, completion_body("moved"))]
         seen = []
 
-    target = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Target)
-    thread = threading.Thread(target=target.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(Target) as target_url:
         base_url, handler = scripted_server
-        location = f"http://127.0.0.1:{target.server_address[1]}/elsewhere"
-        handler.script = [(302, {"error": "moved"}, {"Location": location})]
+        handler.script = [(302, {"error": "moved"}, {"Location": f"{target_url}/elsewhere"})]
         monkeypatch.setenv(API_KEY_ENV_VAR, "sekret")
         assert HttpChatBackend(base_url).complete_text(CompletionRequest(prompt="p")) == "moved"
-    finally:
-        target.shutdown()
-        target.server_close()
-        thread.join(timeout=5)
     assert handler.seen[0][1]["Authorization"] == "Bearer sekret"
     [(path, headers, payload)] = Target.seen
     assert (path, payload) == ("/elsewhere", None)
     assert "Authorization" not in headers
+
+
+@pytest.fixture(scope="module")
+def self_signed(tmp_path_factory):
+    """A self-signed certificate for IP 127.0.0.1 and its key, as PEM files."""
+    openssl = shutil.which("openssl")
+    if openssl is None:
+        pytest.skip("no openssl binary on PATH to make a self-signed certificate with")
+    folder = tmp_path_factory.mktemp("tls")
+    cert, key = folder / "cert.pem", folder / "key.pem"
+    subprocess.run(
+        [openssl, "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+         "-nodes", "-keyout", key, "-out", cert, "-days", "1", "-subj", "/CN=127.0.0.1",
+         "-addext", "subjectAltName=IP:127.0.0.1"],
+        check=True,
+        capture_output=True,
+    )
+    return cert, key
+
+
+@pytest.fixture()
+def tls_server(self_signed, monkeypatch):
+    """A scripted server over TLS; no certificate file or directory is trusted beyond the
+    system's, so a test trusts the server's certificate by setting SSL_CERT_FILE to it."""
+    cert, key = self_signed
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    for name in ("SSL_CERT_FILE", "SSL_CERT_DIR"):
+        monkeypatch.delenv(name, raising=False)
+    ScriptedHandler.seen = []
+    with serving(ScriptedHandler, context) as base_url:
+        yield base_url, ScriptedHandler
+
+
+def test_https_completion_with_a_trusted_certificate(tls_server, self_signed, monkeypatch):
+    base_url, handler = tls_server
+    handler.script = [(200, completion_body("hypertension"))]
+    monkeypatch.setenv("SSL_CERT_FILE", str(self_signed[0]))
+    assert HttpChatBackend(base_url).complete_text(CompletionRequest(prompt="p")) == "hypertension"
+    assert [path for path, _, _ in handler.seen] == ["/v1/chat/completions"]
+
+
+def test_untrusted_certificate_is_permanent(tls_server):
+    base_url, handler = tls_server
+    handler.script = [(200, completion_body("hypertension"))]
+    backend = HttpChatBackend(base_url)
+    posts = []
+    send = backend.complete_text
+
+    def counted(request):
+        posts.append(request)
+        return send(request)
+
+    backend.complete_text = counted
+    sleeps = []
+    gateway = LlmGateway(backend, sleep=sleeps.append)
+    with pytest.raises(BackendError, match="CERTIFICATE_VERIFY_FAILED"):
+        gateway.complete(CompletionRequest(prompt="p"))
+    assert len(posts) == 1
+    assert sleeps == []
+    assert handler.seen == []  # no request got past the handshake
 
 
 def test_connection_error_is_transient():
