@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 import re
 import threading
@@ -15,12 +16,17 @@ from pathlib import Path
 
 from .errors import ConfigError
 
+logger = logging.getLogger(__name__)
+
 PROVENANCE_PREFIX = "# provenance: "
 # WAL lets readers run beside the one writer and, at synchronous=NORMAL, a
 # commit needs no sync. Lookups are random point reads by hash, so a larger
 # page cache than 256 KiB only costs memory.
 STORE_SETUP = """PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; PRAGMA cache_size=-256;
-CREATE TABLE IF NOT EXISTS response(key TEXT PRIMARY KEY, doc TEXT NOT NULL) WITHOUT ROWID"""
+CREATE TABLE IF NOT EXISTS reply(key BLOB PRIMARY KEY, text TEXT NOT NULL) WITHOUT ROWID"""
+GET_REPLY = "SELECT text FROM reply WHERE key = ?"
+PUT_REPLY = "INSERT OR REPLACE INTO reply VALUES (?, ?)"
+EARLIER_TABLE = "SELECT 1 FROM sqlite_master WHERE name = 'response'"
 LOCK_WAIT_S = 60.0  # how long a statement waits for another connection's lock
 
 
@@ -151,8 +157,17 @@ def read_csv_rows(path: str | Path, error: type, what: str, columns: tuple):
         yield lineno, dict(zip_longest(header, fields))
 
 
+def reply_text(doc: str) -> str | None:
+    """The ``text`` of a stored JSON document, or None if it has no string one."""
+    try:
+        text = parse_json(doc)["text"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    return text if isinstance(text, str) else None
+
+
 class ResponseStore:
-    """Documents by key in one SQLite file, shared by threads and by processes.
+    """Reply texts by key digest in one SQLite file, shared by threads and by processes.
 
     Each ``put`` is its own transaction; one connection serves every thread, behind
     a lock. The last ``close`` checkpoints the log and removes the -wal and -shm files.
@@ -167,6 +182,8 @@ class ResponseStore:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
             db = sqlite3.connect(path, LOCK_WAIT_S, isolation_level=None, check_same_thread=False)
             db.executescript(STORE_SETUP)
+            if db.execute(EARLIER_TABLE).fetchone():
+                _migrate(db)
         except (OSError, sqlite3.Error) as exc:
             if db is not None:
                 db.close()
@@ -175,13 +192,32 @@ class ResponseStore:
 
     def get(self, key: str) -> str | None:
         with self._lock:
-            row = self._db.execute("SELECT doc FROM response WHERE key = ?", (key,)).fetchone()
+            row = self._db.execute(GET_REPLY, (bytes.fromhex(key),)).fetchone()
+        if row and not isinstance(row[0], str):  # only a BLOB gets past TEXT affinity
+            logger.warning("ignoring corrupt cache entry %s", key)
+            return None
         return row[0] if row else None
 
-    def put(self, key: str, doc: str):
+    def put(self, key: str, text: str):
         with self._lock:
-            self._db.execute("INSERT OR REPLACE INTO response VALUES (?, ?)", (key, doc))
+            self._db.execute(PUT_REPLY, (bytes.fromhex(key), text))
 
     def close(self):
         with self._lock:
             self._db.close()
+
+
+def _migrate(db):
+    """Move the JSON replies of the earlier ``response(key, doc)`` table into ``reply``, in one
+    transaction, then vacuum; a row without a hex key and a string ``text`` is logged, not moved."""
+    db.execute("BEGIN IMMEDIATE")
+    if db.execute(EARLIER_TABLE).fetchone():  # else another connection moved it first
+        for key, doc in db.execute("SELECT key, doc FROM response").fetchall():
+            text = reply_text(doc) if re.fullmatch("[0-9a-f]{64}", str(key)) else None
+            if text is None:
+                logger.warning("ignoring corrupt cache entry %s", key)
+            else:
+                db.execute(PUT_REPLY, (bytes.fromhex(key), text))
+        db.execute("DROP TABLE response")
+    db.execute("COMMIT")
+    db.execute("VACUUM")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -180,7 +181,7 @@ class _JaccardIndex:
 
 
 def extract_dictionary_features(
-    notes: "list[NoteRecord]",
+    notes: "Iterable[NoteRecord]",
     dictionary: ConceptDictionary,
     min_doc_freq: int = DEFAULT_MIN_DOC_FREQ,
     similarity_threshold: float = 1.0,
@@ -191,43 +192,41 @@ def extract_dictionary_features(
     n-gram matches a term when their token-set Jaccard similarity reaches the
     threshold. Concepts found in fewer than min_doc_freq notes are dropped.
     The dictionary's document_frequency field records this scan's counts.
+    ``notes`` is read once, and of each note only its id, cohort and hits are kept.
     """
-    if not notes:
-        raise BaselineError("dictionary extraction needs a non-empty note collection")
     if not 0.0 < similarity_threshold <= 1.0:
-        raise ParameterError(
-            f"similarity threshold must be in (0, 1], got {similarity_threshold}"
-        )
+        raise ParameterError(f"similarity threshold must be in (0, 1], got {similarity_threshold}")
     if min_doc_freq < 0:
         raise ParameterError(f"min_doc_freq must be >= 0, got {min_doc_freq}")
     # Exact matching cannot match grams longer than the longest term, so the
     # window can shrink; Jaccard mode must scan the full n <= 5 range.
     exact_max_n = min(MAX_NGRAM, dictionary.max_term_tokens)
     index = _JaccardIndex(dictionary, similarity_threshold) if similarity_threshold < 1.0 else None
-    hits_per_note: list[set] = []
+    note_ids, cohorts, hits_per_note, frequency = [], [], [], Counter()
     for note in notes:
         tokens = _tokenize(note.text)
         if index is None:
             found = _note_concepts_exact(tokens, dictionary, exact_max_n)
         else:
             found = index.note_concepts(tokens)
+        note_ids.append(note.note_id)
+        cohorts.append(note.cohort)
         hits_per_note.append(found)
-    frequency: dict[str, int] = {}
-    for found in hits_per_note:
-        for concept in found:
-            frequency[concept] = frequency.get(concept, 0) + 1
+        frequency.update(found)
+    if not note_ids:
+        raise BaselineError("dictionary extraction needs a non-empty note collection")
     dictionary.document_frequency = dict(sorted(frequency.items()))
     surviving = sorted(c for c, df in frequency.items() if df >= min_doc_freq)
     column_of = {c: i for i, c in enumerate(surviving)}
-    data = np.zeros((len(notes), len(surviving)), dtype=np.int8)
+    data = np.zeros((len(note_ids), len(surviving)), dtype=np.int8)
     for row, found in enumerate(hits_per_note):
         for concept in found:
             col = column_of.get(concept)
             if col is not None:
                 data[row, col] = 1
     return FeatureMatrix(
-        note_ids=[n.note_id for n in notes],
-        cohorts=[n.cohort for n in notes],
+        note_ids=note_ids,
+        cohorts=cohorts,
         columns=_concept_columns(surviving),
         data=data,
     )

@@ -611,13 +611,9 @@ def baseline_cmd(
     if method == "dictionary":
         if not notes_path or not terms_path:
             raise ConfigError("dictionary baseline needs --notes and --terms")
-        notes = list(cohort_mod.read_notes(notes_path))
+        notes = cohort_mod.read_notes(notes_path)
         if cohort_of:
-            notes = [
-                n for n in notes if n.note_id in cohort_of
-            ]
-            for n in notes:
-                n.cohort = cohort_of[n.note_id]
+            notes = (n for n in notes if n.note_id in cohort_of)
         dictionary = baselines_mod.build_dictionary(terms_path, min_term_length)
         matrix = baselines_mod.extract_dictionary_features(
             notes, dictionary, min_doc_freq=min_doc_freq, similarity_threshold=similarity_threshold
@@ -635,8 +631,6 @@ def baseline_cmd(
         if not annotations_path:
             raise ConfigError("ner baseline needs --annotations")
         matrix = baselines_mod.ingest_ner_annotations(annotations_path, min_score=min_score)
-        if cohort_of:
-            matrix = baselines_mod.attach_cohorts(matrix, cohort_of)
         out_path = out / "ner_matrix.csv"
         options = {
             "command": "baseline",
@@ -644,6 +638,8 @@ def baseline_cmd(
             "annotations": str(annotations_path),
             "min_score": min_score,
         }
+    if cohort_of:
+        matrix = baselines_mod.attach_cohorts(matrix, cohort_of)
     provenance = _provenance(options, seed, method)
     matrix.to_csv(out_path, provenance)
     click.echo(f"baseline matrix: {out_path} ({matrix.shape[0]} notes x {matrix.shape[1]} concepts)")

@@ -2,10 +2,10 @@
 
 Every extraction call goes through ``LlmGateway.complete``, which consults a
 content-addressed on-disk cache first and retries transient backend failures
-with exponential backoff, waiting longer when a 429 or 5xx response's
-``Retry-After`` asks for it. ``complete_stream`` fans a stream of requests out
-with a bounded number in flight and yields each result, or its failure, in
-input order.
+with exponential backoff and full jitter, waiting longer when a 429 or 5xx
+response's ``Retry-After`` asks for it. ``complete_stream`` fans a stream of
+requests out with a bounded number in flight and yields each result, or its
+failure, in input order.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import random
 import socket
 import threading
 import time
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import urlparse
 
-from .artifacts import ResponseStore, read_csv_rows, read_text
+from .artifacts import ResponseStore, read_csv_rows, read_text, reply_text
 from .errors import (
     BackendError,
     ConfigError,
@@ -194,21 +195,24 @@ class HttpChatBackend:
             raise ConfigError(f"cannot parse base URL {base_url!r}: {exc}") from None
         if parsed.scheme not in ("http", "https") or not parsed.hostname:
             raise ConfigError(f"base URL needs an http or https scheme and a host, got {base_url!r}")
-        self.host = parsed.hostname
-        self.port = port if port is not None else 443 if parsed.scheme == "https" else 80
+        self.host, self.tls = parsed.hostname, parsed.scheme == "https"
+        self.port = port if port is not None else 443 if self.tls else 80
         self.url = f"{self.base_url}/v1/chat/completions"
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV_VAR)
         self.timeout = timeout
 
     def preflight(self):
-        """Fail fast with a clear message when the endpoint is unreachable."""
+        """Fail fast with one clear message when the endpoint is unreachable or untrusted."""
         try:
-            with socket.create_connection((self.host, self.port), timeout=5.0):
-                pass
-        except OSError as exc:
-            raise TransportError(
-                f"completion endpoint {self.base_url} is unreachable: {exc}"
-            ) from exc
+            with socket.create_connection((self.host, self.port), timeout=5.0) as sock:
+                if self.tls:
+                    import ssl
+
+                    context = ssl.create_default_context()
+                    context.wrap_socket(sock, server_hostname=self.host).close()
+        except OSError as exc:  # ssl.SSLError is one too
+            message = f"completion endpoint {self.base_url} is unreachable: {exc}"
+            raise TransportError(message) from exc
 
     def complete_text(self, request: CompletionRequest) -> str:
         import http.client  # these four are loaded only by runs that use HTTP
@@ -259,9 +263,10 @@ class HttpChatBackend:
 class ResponseCache:
     """Content-addressed completion responses in ``<directory>/responses.sqlite``.
 
-    The key hashes (backend_id, model, temperature, prompt); a hit replays the
-    stored text byte-identically. Entries of the older one-file-per-key
-    format found in the directory are imported once and their files removed.
+    The key hashes (backend_id, model, temperature, prompt); a row holds its
+    digest and the reply text, which a hit replays byte-identically. Entries of
+    the older one-file-per-key format found in the directory are imported once
+    and their files removed.
     """
 
     def __init__(self, directory: str | Path):
@@ -273,10 +278,11 @@ class ResponseCache:
                 if isinstance(exc.__cause__, FileNotFoundError):
                     continue  # another process imported it first
                 doc = ""
-            if _text_of(doc) is None:
+            text = reply_text(doc)
+            if text is None:
                 logger.warning("ignoring corrupt cache entry %s", path)
             else:
-                self._store.put(path.stem, doc)
+                self._store.put(path.stem, text)
             path.unlink(missing_ok=True)
 
     @staticmethod
@@ -299,23 +305,10 @@ class ResponseCache:
         return digest.hexdigest()
 
     def get(self, key: str) -> str | None:
-        doc = self._store.get(key)
-        if doc is None:
-            return None
-        text = _text_of(doc)
-        if text is None:
-            logger.warning("ignoring corrupt cache entry %s", key)
-        return text
+        return self._store.get(key)
 
-    def put(self, key: str, text: str, request: CompletionRequest, backend_id: str):
-        doc = {
-            "text": text,
-            "backend": backend_id,
-            "model": request.model,
-            "temperature": request.temperature,
-            "prompt_sha256": hashlib.sha256(request.prompt.encode("utf-8")).hexdigest(),
-        }
-        self._store.put(key, json.dumps(doc, sort_keys=True, ensure_ascii=False))
+    def put(self, key: str, text: str):
+        self._store.put(key, text)
 
     def close(self):
         self._store.close()
@@ -346,15 +339,6 @@ def _escape(text: str) -> bytes:
     return _json_string(text)[1:-1].encode("utf-8")
 
 
-def _text_of(doc: str) -> str | None:
-    """The ``text`` of a stored JSON document, or None if it has no string one."""
-    try:
-        text = json.loads(doc)["text"]
-    except (ValueError, KeyError, TypeError):
-        return None
-    return text if isinstance(text, str) else None
-
-
 class LlmGateway:
     """Backend-agnostic completion entry point with cache and retry policy."""
 
@@ -365,6 +349,7 @@ class LlmGateway:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         sleep=time.sleep,
+        uniform=random.uniform,
     ):
         if max_attempts < 1:
             raise ParameterError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -373,6 +358,7 @@ class LlmGateway:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._sleep = sleep
+        self._uniform = uniform
         self.cache_hits = 0
         self.cache_misses = 0
         self._counter_lock = threading.Lock()
@@ -399,7 +385,7 @@ class LlmGateway:
         text = self._complete_with_retries(request)
         latency_ms = (time.perf_counter() - start) * 1000.0
         if key is not None:
-            self.cache.put(key, text, request, self.backend.backend_id)
+            self.cache.put(key, text)
         return CompletionResponse(
             text=text, backend_id=self.backend.backend_id, cached=False, latency_ms=latency_ms
         )
@@ -412,13 +398,11 @@ class LlmGateway:
             except TransientBackendError as exc:
                 last_error = exc
                 if attempt < self.max_attempts:
-                    delay = max(self.backoff_base * (2 ** (attempt - 1)), exc.retry_after or 0.0)
+                    cap = self.backoff_base * (2 ** (attempt - 1))  # full jitter below
+                    delay = max(self._uniform(0.0, cap), exc.retry_after or 0.0)
                     logger.warning(
                         "transient backend failure (attempt %d/%d): %s; retrying in %.1fs",
-                        attempt,
-                        self.max_attempts,
-                        exc,
-                        delay,
+                        attempt, self.max_attempts, exc, delay,
                     )
                     self._sleep(delay)
         raise TransportError(

@@ -305,6 +305,21 @@ def test_extraction_parameter_validation(tmp_path):
         extract_dictionary_features([note("N1", "x")], dictionary, min_doc_freq=-1)
 
 
+def test_extraction_reads_any_iterable_once(tmp_path):
+    dictionary = build_dictionary(write_terms(tmp_path, [("memory loss", "C1")]))
+    notes = [note("N1", "memory loss", "ADRD"), note("N2", "fine", "CN")]
+    streamed = extract_dictionary_features(iter(notes), dictionary, min_doc_freq=0)
+    listed = extract_dictionary_features(notes, dictionary, min_doc_freq=0)
+    assert streamed.note_ids == listed.note_ids == ["N1", "N2"]
+    assert streamed.cohorts == listed.cohorts
+    assert streamed.data.tolist() == listed.data.tolist()
+    for threshold in (1.0, 0.5):
+        with pytest.raises(BaselineError, match="non-empty"):
+            extract_dictionary_features(
+                (n for n in notes if False), dictionary, similarity_threshold=threshold
+            )
+
+
 def test_matrix_carries_note_ids_and_cohorts(tmp_path):
     path = write_terms(tmp_path, [("memory loss", "C1")])
     dictionary = build_dictionary(path)

@@ -5,12 +5,10 @@ import logging
 import os
 import random
 import socket
-import sqlite3
 import subprocess
 import sys
 import threading
 import tracemalloc
-from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -20,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pheno_mine
+from conftest import earlier_store, rows
 from pheno_mine.artifacts import ResponseStore
 from pheno_mine import cohort as cohort_mod
 from pheno_mine.cli import data_path, main
@@ -828,20 +827,15 @@ def test_extract_without_a_cache_never_loads_sqlite3(tmp_path):
     assert (tmp_path / "feature_matrix.csv").is_file()
 
 
-def _rows(cache: Path) -> dict:
-    with closing(sqlite3.connect(cache / "responses.sqlite")) as db:
-        return dict(db.execute("SELECT key, doc FROM response"))
-
-
 def test_extract_imports_a_file_per_entry_cache(runner, tmp_path, caplog):
     args = ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--seed", 0]
     invoke(runner, *args, "--cache-dir", tmp_path / "cache", "--out-dir", tmp_path / "cold")
-    rows = _rows(tmp_path / "cache")
-    # The same responses as one <key>.json file each, the earlier format.
+    replies = rows(tmp_path / "cache")
+    # The same responses as one <key>.json file each, the earliest format.
     legacy = tmp_path / "legacy"
     legacy.mkdir()
-    for key, doc in rows.items():
-        (legacy / f"{key}.json").write_text(doc, encoding="utf-8")
+    for key, text in replies.items():
+        (legacy / f"{key}.json").write_text(json.dumps({"text": text}), encoding="utf-8")
     (legacy / f"{'f' * 64}.json").write_text("{ not json", encoding="utf-8")
     (legacy / "notes.json").write_text("{}", encoding="utf-8")  # not an entry
     with caplog.at_level(logging.WARNING, logger="pheno_mine.gateway"):
@@ -852,10 +846,27 @@ def test_extract_imports_a_file_per_entry_cache(runner, tmp_path, caplog):
     for name in ("manifest.csv", "feature_matrix.csv", "reject_log.jsonl"):
         assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
     assert sorted(p.name for p in legacy.iterdir()) == ["notes.json", "responses.sqlite"]
-    assert _rows(legacy) == rows
+    assert rows(legacy) == replies
     assert [r.getMessage() for r in caplog.records] == [
         f"ignoring corrupt cache entry {legacy / ('f' * 64 + '.json')}"
     ]
+
+
+def test_extract_migrates_a_store_of_json_documents(runner, tmp_path):
+    args = ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--seed", 0]
+    invoke(runner, *args, "--cache-dir", tmp_path / "fresh", "--out-dir", tmp_path / "cold")
+    replies = rows(tmp_path / "fresh")
+    # The same replies in the earlier layout: a hex key and a JSON document.
+    cache = tmp_path / "cache"
+    earlier_store(cache, [(key, json.dumps({"text": text})) for key, text in replies.items()])
+    invoke(runner, *args, "--cache-dir", cache, "--out-dir", tmp_path / "warm")
+
+    report = json.loads((tmp_path / "warm" / "run_report.json").read_text())
+    assert report["cache_hit_rate"] == 1.0
+    for name in ("manifest.csv", "feature_matrix.csv", "reject_log.jsonl"):
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+    assert rows(cache) == replies
+    assert [p.name for p in cache.iterdir()] == ["responses.sqlite"]
 
 
 # ---------------------------------------------------------------------------
@@ -1026,6 +1037,28 @@ def test_baseline_ner_attaches_cohorts(runner, tmp_path):
     lines = (tmp_path / "ner_matrix.csv").read_text().splitlines()
     body = [l for l in lines if l and not l.startswith("#") and not l.startswith("note_id")]
     assert all(l.split(",")[1] in ("CN", "MCI", "ADRD") for l in body)
+
+
+def test_baseline_memory_does_not_grow_with_note_text(runner, tmp_path):
+    chars, small = 5_000, 20
+
+    def peak(notes: int) -> int:
+        path = tmp_path / f"{notes}.jsonl"
+        path.write_text(_note_lines(notes, chars))
+        args = ["baseline", "--method", "dictionary", "--notes", path,
+                "--terms", data_path("demo_terms.csv"), "--min-doc-freq", 0,
+                "--out-dir", tmp_path / str(notes)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            invoke(runner, *args)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    peak(small)  # loads whatever a first run loads
+    added_text = 3 * small * chars
+    assert peak(4 * small) - peak(small) < added_text / 3
 
 
 def test_baseline_dictionary_needs_inputs(runner, tmp_path):

@@ -3,6 +3,7 @@ import http.server
 import json
 import logging
 import os
+import random
 import shutil
 import socket
 import sqlite3
@@ -13,14 +14,16 @@ import tempfile
 import threading
 import time
 from contextlib import closing, contextmanager
-from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import earlier_store, rows
 from oracles import cache_key_oracle
-from pheno_mine.cli import data_path
+from pheno_mine import artifacts
+from pheno_mine.cli import data_path, main
 from pheno_mine.errors import (
     BackendError,
     ConfigError,
@@ -196,27 +199,26 @@ def test_cache_key_equals_the_one_shot_oracle(prompt, backend_id, model, tempera
         assert ResponseCache.key(backend_id, request) == cache_key_oracle(backend_id, request)
 
 
-def stored(cache_dir) -> dict:
-    """Every row of the response store in ``cache_dir``, key to document."""
-    with closing(sqlite3.connect(Path(cache_dir) / "responses.sqlite")) as db:
-        return dict(db.execute("SELECT key, doc FROM response"))
-
-
-def test_corrupt_cache_entry_is_a_miss(tmp_path, combined):
+def test_corrupt_cache_entry_is_a_miss(tmp_path, combined, caplog):
     backend = MockBackend(MockRuleTable.from_csv(data_path("mock_rules.csv")), combined)
     cache_dir = tmp_path / "cache"
     with closing(LlmGateway(backend, cache_dir=cache_dir)) as gateway:
         req = request_for(combined.category("Comorbidities"), "hypertension noted")
         gateway.complete(req)
-        (key,) = stored(cache_dir)
-        for bad in ("{ not json", '{"text": 1}', "[]"):
+        (key,) = rows(cache_dir)
+        # only a BLOB gets past the text column's TEXT affinity
+        for bad in (b"hypertension", b"\xff", b""):
             with closing(sqlite3.connect(cache_dir / "responses.sqlite")) as db, db:
-                db.execute("UPDATE response SET doc = ?", (bad,))
+                db.execute("UPDATE reply SET text = ?", (bad,))
+            caplog.clear()
             resp = gateway.complete(req)
             assert not resp.cached
             assert resp.text == "hypertension"
+            assert [r.getMessage() for r in caplog.records] == [
+                f"ignoring corrupt cache entry {key}"
+            ]
             # the corrupt entry was rewritten with a good one
-            assert json.loads(stored(cache_dir)[key])["text"] == "hypertension"
+            assert rows(cache_dir)[key] == "hypertension"
 
 
 @settings(max_examples=100, deadline=None)
@@ -226,22 +228,85 @@ def test_cache_round_trips_any_text_exactly(text):
     key = ResponseCache.key("x", request)
     with tempfile.TemporaryDirectory() as directory:
         cache = ResponseCache(directory)
-        cache.put(key, text, request, "x")
+        cache.put(key, text)
         assert cache.get(key) == text
         cache.close()
         reopened = ResponseCache(directory)
         assert reopened.get(key) == text
         reopened.close()
-        # the document a file-per-entry cache held in <key>.json
-        doc = {
-            "text": text,
-            "backend": "x",
-            "model": "m",
-            "temperature": 0.5,
-            "prompt_sha256": hashlib.sha256(request.prompt.encode("utf-8")).hexdigest(),
-        }
-        assert stored(directory) == {key: json.dumps(doc, sort_keys=True, ensure_ascii=False)}
+        # a row is the key's digest and the text itself
+        assert rows(directory) == {key: text}
         assert os.listdir(directory) == ["responses.sqlite"]
+
+
+def test_entry_nested_too_deeply_is_corrupt(tmp_path, caplog):
+    entry = tmp_path / f"{'a' * 64}.json"
+    entry.write_text("[" * 100_000)
+    with caplog.at_level(logging.WARNING):
+        ResponseCache(tmp_path).close()
+    assert [r.getMessage() for r in caplog.records] == [f"ignoring corrupt cache entry {entry}"]
+    assert os.listdir(tmp_path) == ["responses.sqlite"]
+
+
+def test_fresh_store_holds_only_the_reply_table(tmp_path):
+    ResponseCache(tmp_path).close()
+    with closing(sqlite3.connect(tmp_path / "responses.sqlite")) as db:
+        assert db.execute("SELECT type, name, sql FROM sqlite_master").fetchall() == [
+            (
+                "table",
+                "reply",
+                "CREATE TABLE reply(key BLOB PRIMARY KEY, text TEXT NOT NULL) WITHOUT ROWID",
+            )
+        ]
+
+
+def earlier_doc(text, request, backend_id):
+    """The JSON document the earlier store kept for one reply."""
+    doc = {
+        "text": text,
+        "backend": backend_id,
+        "model": request.model,
+        "temperature": request.temperature,
+        "prompt_sha256": hashlib.sha256(request.prompt.encode("utf-8")).hexdigest(),
+    }
+    return json.dumps(doc, sort_keys=True, ensure_ascii=False)
+
+
+def tables(cache_dir) -> list:
+    with closing(sqlite3.connect(cache_dir / "responses.sqlite")) as db:
+        return [name for (name,) in db.execute("SELECT name FROM sqlite_master")]
+
+
+def test_earlier_store_is_migrated_once(tmp_path, caplog):
+    requests = [CompletionRequest(prompt=p, temperature=0.5) for p in ("first", "sécond")]
+    good = {ResponseCache.key("x", r): f"reply to {r.prompt}\n" for r in requests}
+    bad = "f" * 64
+    cache_dir = tmp_path / "cache"
+    earlier_store(
+        cache_dir,
+        [(key, earlier_doc(good[key], r, "x")) for key, r in zip(good, requests)]
+        + [(bad, "{ not json")],
+    )
+    with caplog.at_level(logging.WARNING):
+        cache = ResponseCache(cache_dir)
+        assert {key: cache.get(key) for key in good} == good
+        assert cache.get(bad) is None
+        cache.close()
+    assert [r.getMessage() for r in caplog.records] == [f"ignoring corrupt cache entry {bad}"]
+    assert tables(cache_dir) == ["reply"]
+    assert rows(cache_dir) == good
+    store = cache_dir / "responses.sqlite"
+    with closing(sqlite3.connect(store)) as db:
+        assert db.execute("PRAGMA freelist_count").fetchone() == (0,)  # vacuumed
+    migrated = store.read_bytes()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        reopened = ResponseCache(cache_dir)
+        assert {key: reopened.get(key) for key in good} == good
+        reopened.close()
+    assert caplog.records == []
+    assert store.read_bytes() == migrated
+    assert os.listdir(cache_dir) == ["responses.sqlite"]
 
 
 class EchoBackend:
@@ -269,7 +334,7 @@ def test_cache_survives_concurrent_writes_of_one_prompt(tmp_path, caplog):
     assert [tag for tag, _, _ in results] == list(range(800))
     assert all(resp.text == f"echo prompt {tag // 8}" for tag, resp, _ in results)
     assert not [r for r in caplog.records if "corrupt cache entry" in r.getMessage()]
-    assert len(stored(tmp_path / "cache")) == 100
+    assert len(rows(tmp_path / "cache")) == 100
     assert not list((tmp_path / "cache").glob("*.tmp.*"))
 
 
@@ -309,8 +374,47 @@ def test_two_gateways_share_one_cache_directory(tmp_path):
     for streamed in results.values():
         assert [error for _, _, error in streamed if error] == []
         assert all(resp.text == f"echo prompt {tag}" for tag, resp, _ in streamed)
-    assert len(stored(cache_dir)) == 1000
+    assert len(rows(cache_dir)) == 1000
     assert os.listdir(cache_dir) == ["responses.sqlite"]
+
+
+def test_two_gateways_migrate_one_earlier_store_at_once(tmp_path, caplog, monkeypatch):
+    requests = [CompletionRequest(prompt=f"prompt {i}") for i in range(500)]
+    cache_dir = tmp_path / "cache"
+    earlier_store(
+        cache_dir,
+        [(ResponseCache.key("echo", r), earlier_doc(f"echo {r.prompt}", r, "echo")) for r in requests]
+        + [("0" * 64, '{"text": 1}')],
+    )
+    # Both connections find the earlier table before either one moves it.
+    migrate, both_found_it = artifacts._migrate, threading.Barrier(2, timeout=30)
+
+    def migrate_together(db):
+        both_found_it.wait()
+        migrate(db)
+
+    monkeypatch.setattr(artifacts, "_migrate", migrate_together)
+    results = {}
+
+    def run(name):
+        with closing(LlmGateway(EchoBackend(), cache_dir=cache_dir)) as gateway:
+            results[name] = [gateway.complete(r) for r in requests]
+
+    with caplog.at_level(logging.WARNING):
+        threads = [threading.Thread(target=run, args=(name,)) for name in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == ["a", "b"]
+    for responses in results.values():
+        assert all(resp.cached for resp in responses)
+        assert [resp.text for resp in responses] == [f"echo {r.prompt}" for r in requests]
+    # only the connection that moved the rows saw the corrupt one
+    assert [r.getMessage() for r in caplog.records] == [f"ignoring corrupt cache entry {'0' * 64}"]
+    assert tables(cache_dir) == ["reply"]
+    assert len(rows(cache_dir)) == 500
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +436,17 @@ class FlakyBackend:
         return self.text
 
 
+def upper(low, high):
+    """A stand-in for ``random.uniform`` that always draws the top of the range."""
+    return high
+
+
 def test_transient_errors_retry_with_exponential_backoff():
     sleeps = []
     backend = FlakyBackend(failures=2)
-    gateway = LlmGateway(backend, max_attempts=3, backoff_base=1.0, sleep=sleeps.append)
+    gateway = LlmGateway(
+        backend, max_attempts=3, backoff_base=1.0, sleep=sleeps.append, uniform=upper
+    )
     resp = gateway.complete(CompletionRequest(prompt="p"))
     assert resp.text == "ok"
     assert backend.calls == 3
@@ -345,11 +456,35 @@ def test_transient_errors_retry_with_exponential_backoff():
 def test_retries_exhausted_raise_transport_error():
     sleeps = []
     backend = FlakyBackend(failures=10)
-    gateway = LlmGateway(backend, max_attempts=3, backoff_base=0.5, sleep=sleeps.append)
+    gateway = LlmGateway(
+        backend, max_attempts=3, backoff_base=0.5, sleep=sleeps.append, uniform=upper
+    )
     with pytest.raises(TransportError, match="after 3 attempts"):
         gateway.complete(CompletionRequest(prompt="p"))
     assert backend.calls == 3
     assert sleeps == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("retry_after", [None, 0.0, 3.0, 100.0])
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_backoff_delays_lie_within_their_full_jitter_bounds(retry_after, seed):
+    class Slow(FlakyBackend):
+        def complete_text(self, request):
+            try:
+                return super().complete_text(request)
+            except TransientBackendError as exc:
+                raise TransientBackendError(str(exc), retry_after=retry_after) from None
+
+    sleeps = []
+    kwargs = {} if seed is None else {"uniform": random.Random(seed).uniform}
+    gateway = LlmGateway(
+        Slow(failures=9), max_attempts=10, backoff_base=0.5, sleep=sleeps.append, **kwargs
+    )
+    assert gateway.complete(CompletionRequest(prompt="p")).text == "ok"
+    assert len(sleeps) == 9
+    floor = retry_after or 0.0
+    for attempt, delay in enumerate(sleeps, start=1):
+        assert floor <= delay <= max(0.5 * 2 ** (attempt - 1), floor)
 
 
 class PermanentlyBrokenBackend:
@@ -499,7 +634,7 @@ def test_http_429_then_success_via_gateway(scripted_server):
         (200, completion_body("recovered")),
     ]
     sleeps = []
-    gateway = LlmGateway(HttpChatBackend(base_url), sleep=sleeps.append)
+    gateway = LlmGateway(HttpChatBackend(base_url), sleep=sleeps.append, uniform=upper)
     resp = gateway.complete(CompletionRequest(prompt="p"))
     assert resp.text == "recovered"
     assert len(handler.seen) == 3
@@ -523,7 +658,7 @@ def test_http_429_waits_for_delta_seconds_retry_after(scripted_server, retry_aft
         (200, completion_body("recovered")),
     ]
     slept = []
-    gateway = LlmGateway(HttpChatBackend(base_url), sleep=slept.append)
+    gateway = LlmGateway(HttpChatBackend(base_url), sleep=slept.append, uniform=upper)
     assert gateway.complete(CompletionRequest(prompt="p")).text == "recovered"
     assert slept == sleeps
 
@@ -641,6 +776,34 @@ def test_untrusted_certificate_is_permanent(tls_server):
     assert len(posts) == 1
     assert sleeps == []
     assert handler.seen == []  # no request got past the handshake
+
+
+def test_preflight_completes_the_tls_handshake(tls_server, self_signed, monkeypatch):
+    base_url, handler = tls_server
+    with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+        HttpChatBackend(base_url).preflight()
+    monkeypatch.setenv("SSL_CERT_FILE", str(self_signed[0]))
+    HttpChatBackend(base_url).preflight()
+    assert handler.seen == []  # the probe sends no request
+
+
+def test_untrusted_certificate_ends_extract_before_artifacts(tls_server, tmp_path):
+    base_url, handler = tls_server
+    handler.script = [(200, completion_body("none"))]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main,
+        ["extract", "--notes", str(data_path("demo_notes.jsonl")),
+         "--diagnoses", str(data_path("demo_diagnoses.csv")), "--backend", "http",
+         "--base-url", base_url, "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(out)],
+    )
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: completion endpoint {base_url} is unreachable")
+    assert "CERTIFICATE_VERIFY_FAILED" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert list(out.iterdir()) == []
+    assert not (tmp_path / "cache").exists()
+    assert handler.seen == []
 
 
 def test_connection_error_is_transient():
