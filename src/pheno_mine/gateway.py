@@ -2,10 +2,10 @@
 
 Every extraction call goes through ``LlmGateway.complete``, which consults a
 content-addressed on-disk cache first and retries transient backend failures
-with exponential backoff and full jitter, waiting longer when a 429 or 5xx
-response's ``Retry-After`` asks for it. ``complete_stream`` fans a stream of
-requests out with a bounded number in flight and yields each result, or its
-failure, in input order.
+with exponential backoff, waiting longer when a 429 or 5xx response's
+``Retry-After`` asks for it. ``complete_stream`` fans a stream of requests out
+with a bounded number in flight and yields each result, or its failure, in
+input order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import os
-import random
 import socket
 import threading
 import time
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import urlparse
 
-from .artifacts import ResponseStore, read_csv_rows, read_text, reply_text
+from .artifacts import ResponseStore, read_csv_rows
 from .errors import (
     BackendError,
     ConfigError,
@@ -50,7 +49,6 @@ DEFAULT_BACKOFF_BASE = 1.0
 # caller draws (renders) requests in batches: drawing one request after every
 # result made a 2-in-flight loopback HTTP run measurably slower.
 WINDOW_PER_WORKER = 64
-LEGACY_ENTRY = "[0-9a-f]" * 64 + ".json"  # one file per key, the cache's earlier format
 # Entries kept by each cache-key memo: hashed prefixes, one per (backend,
 # model, temperature, head), and escaped prompt remainders. Requests come chunk
 # by chunk, so a chunk's remainder serves its consecutive per-category
@@ -264,26 +262,11 @@ class ResponseCache:
     """Content-addressed completion responses in ``<directory>/responses.sqlite``.
 
     The key hashes (backend_id, model, temperature, prompt); a row holds its
-    digest and the reply text, which a hit replays byte-identically. Entries of
-    the older one-file-per-key format found in the directory are imported once
-    and their files removed.
+    digest and the reply text, which a hit replays byte-identically.
     """
 
     def __init__(self, directory: str | Path):
         self._store = ResponseStore(Path(directory) / "responses.sqlite")
-        for path in sorted(Path(directory).glob(LEGACY_ENTRY)):
-            try:
-                doc = read_text(path, ConfigError)
-            except ConfigError as exc:
-                if isinstance(exc.__cause__, FileNotFoundError):
-                    continue  # another process imported it first
-                doc = ""
-            text = reply_text(doc)
-            if text is None:
-                logger.warning("ignoring corrupt cache entry %s", path)
-            else:
-                self._store.put(path.stem, text)
-            path.unlink(missing_ok=True)
 
     @staticmethod
     def key(backend_id: str, request: CompletionRequest) -> str:
@@ -349,7 +332,6 @@ class LlmGateway:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         sleep=time.sleep,
-        uniform=random.uniform,
     ):
         if max_attempts < 1:
             raise ParameterError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -358,7 +340,6 @@ class LlmGateway:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._sleep = sleep
-        self._uniform = uniform
         self.cache_hits = 0
         self.cache_misses = 0
         self._counter_lock = threading.Lock()
@@ -398,11 +379,13 @@ class LlmGateway:
             except TransientBackendError as exc:
                 last_error = exc
                 if attempt < self.max_attempts:
-                    cap = self.backoff_base * (2 ** (attempt - 1))  # full jitter below
-                    delay = max(self._uniform(0.0, cap), exc.retry_after or 0.0)
+                    delay = max(self.backoff_base * (2 ** (attempt - 1)), exc.retry_after or 0.0)
                     logger.warning(
                         "transient backend failure (attempt %d/%d): %s; retrying in %.1fs",
-                        attempt, self.max_attempts, exc, delay,
+                        attempt,
+                        self.max_attempts,
+                        exc,
+                        delay,
                     )
                     self._sleep(delay)
         raise TransportError(

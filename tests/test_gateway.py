@@ -3,7 +3,6 @@ import http.server
 import json
 import logging
 import os
-import random
 import shutil
 import socket
 import sqlite3
@@ -436,17 +435,10 @@ class FlakyBackend:
         return self.text
 
 
-def upper(low, high):
-    """A stand-in for ``random.uniform`` that always draws the top of the range."""
-    return high
-
-
 def test_transient_errors_retry_with_exponential_backoff():
     sleeps = []
     backend = FlakyBackend(failures=2)
-    gateway = LlmGateway(
-        backend, max_attempts=3, backoff_base=1.0, sleep=sleeps.append, uniform=upper
-    )
+    gateway = LlmGateway(backend, max_attempts=3, backoff_base=1.0, sleep=sleeps.append)
     resp = gateway.complete(CompletionRequest(prompt="p"))
     assert resp.text == "ok"
     assert backend.calls == 3
@@ -456,35 +448,11 @@ def test_transient_errors_retry_with_exponential_backoff():
 def test_retries_exhausted_raise_transport_error():
     sleeps = []
     backend = FlakyBackend(failures=10)
-    gateway = LlmGateway(
-        backend, max_attempts=3, backoff_base=0.5, sleep=sleeps.append, uniform=upper
-    )
+    gateway = LlmGateway(backend, max_attempts=3, backoff_base=0.5, sleep=sleeps.append)
     with pytest.raises(TransportError, match="after 3 attempts"):
         gateway.complete(CompletionRequest(prompt="p"))
     assert backend.calls == 3
     assert sleeps == [0.5, 1.0]
-
-
-@pytest.mark.parametrize("retry_after", [None, 0.0, 3.0, 100.0])
-@pytest.mark.parametrize("seed", [None, 1, 2])
-def test_backoff_delays_lie_within_their_full_jitter_bounds(retry_after, seed):
-    class Slow(FlakyBackend):
-        def complete_text(self, request):
-            try:
-                return super().complete_text(request)
-            except TransientBackendError as exc:
-                raise TransientBackendError(str(exc), retry_after=retry_after) from None
-
-    sleeps = []
-    kwargs = {} if seed is None else {"uniform": random.Random(seed).uniform}
-    gateway = LlmGateway(
-        Slow(failures=9), max_attempts=10, backoff_base=0.5, sleep=sleeps.append, **kwargs
-    )
-    assert gateway.complete(CompletionRequest(prompt="p")).text == "ok"
-    assert len(sleeps) == 9
-    floor = retry_after or 0.0
-    for attempt, delay in enumerate(sleeps, start=1):
-        assert floor <= delay <= max(0.5 * 2 ** (attempt - 1), floor)
 
 
 class PermanentlyBrokenBackend:
@@ -634,7 +602,7 @@ def test_http_429_then_success_via_gateway(scripted_server):
         (200, completion_body("recovered")),
     ]
     sleeps = []
-    gateway = LlmGateway(HttpChatBackend(base_url), sleep=sleeps.append, uniform=upper)
+    gateway = LlmGateway(HttpChatBackend(base_url), sleep=sleeps.append)
     resp = gateway.complete(CompletionRequest(prompt="p"))
     assert resp.text == "recovered"
     assert len(handler.seen) == 3
@@ -658,7 +626,7 @@ def test_http_429_waits_for_delta_seconds_retry_after(scripted_server, retry_aft
         (200, completion_body("recovered")),
     ]
     slept = []
-    gateway = LlmGateway(HttpChatBackend(base_url), sleep=slept.append, uniform=upper)
+    gateway = LlmGateway(HttpChatBackend(base_url), sleep=slept.append)
     assert gateway.complete(CompletionRequest(prompt="p")).text == "recovered"
     assert slept == sleeps
 
