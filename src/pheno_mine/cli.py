@@ -400,6 +400,7 @@ def extract_cmd(
             "cache_hit_rate": (gateway.cache_hits / requests_total) if requests_total else 0.0,
             "rejected_tokens": sum(len(p.rejects) for p in profiles),
             "note_token_estimate": sum(p.estimated_tokens for p in profiles),
+            "oversized_chunks": sum(p.oversized_chunks for p in profiles),
             "elapsed_seconds": round(elapsed, 3),
         }
         write_json(out / "run_report.json", report)

@@ -47,6 +47,8 @@ class ExtractionProfile:
     incomplete: list = field(default_factory=list)
     # summed estimated_tokens of the note's chunks
     estimated_tokens: int = 0
+    # chunks over the budget: sentences longer than it, each sent as one prompt
+    oversized_chunks: int = 0
 
 
 def normalize_token(raw: str) -> str:
@@ -144,7 +146,8 @@ def extract_notes(
     them and its results merged as they come back, so memory holds a bounded
     window of requests rather than the whole corpus's prompts. A failed
     completion marks its (chunk, category) incomplete and the rest of the
-    note still completes.
+    note still completes. Oversized chunks, each a sentence longer than the
+    budget, are counted per note and reported in one warning per run.
 
     Returns the profiles (input order) and the number of failed completions.
     """
@@ -157,6 +160,7 @@ def extract_notes(
             profiles.append(profile)
             chunks = chunk_text(note.text, budget=chunk_budget, note_id=note.note_id)
             profile.estimated_tokens = sum(c.estimated_tokens for c in chunks)
+            profile.oversized_chunks = sum(c.oversized for c in chunks)
             for chunk, category, request in plan_requests(
                 chunks, plist, mode, model, temperature, max_output_tokens, heads
             ):
@@ -178,6 +182,15 @@ def extract_notes(
             failures += 1
             continue
         _merge_result(profile, chunk, category, response.text)
+    oversized = sum(p.oversized_chunks for p in profiles)
+    if oversized:
+        logger.warning(
+            "%d chunk(s) over the %d-token budget were sent whole, each one sentence "
+            "longer than the budget (first in note %s)",
+            oversized,
+            chunk_budget,
+            next(p.note_id for p in profiles if p.oversized_chunks),
+        )
     return profiles, failures
 
 

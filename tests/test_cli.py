@@ -100,10 +100,34 @@ def test_extract_mock_end_to_end(runner, tmp_path):
     assert report["failures"] == 0
     assert report["cohort_counts"] == {"CN": 10, "MCI": 10, "ADRD": 10}
     assert report["requests"] > 0
+    assert report["oversized_chunks"] == 0
     first = (tmp_path / "feature_matrix.csv").read_text().splitlines()[0]
     assert first.startswith("# provenance: ")
     for key in ("config_hash", "seed", "list_id", "mode"):
         assert key in first
+
+
+def test_extract_counts_and_warns_of_oversized_chunks(runner, tmp_path, caplog):
+    # a run-on sentence of ~8.3k tokens, over the default budget of 2048, in two notes
+    run_on = " memory loss noted and" * 1500
+    lines = []
+    for line in Path(NOTES).read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record["note_id"] in ("N005", "N012"):
+            record["text"] += run_on
+        lines.append(json.dumps(record) + "\n")
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text("".join(lines), encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="pheno_mine.extraction"):
+        invoke(runner, "extract", "--notes", notes, "--diagnoses", DIAGNOSES,
+               "--out-dir", tmp_path / "out")
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert report["oversized_chunks"] == 2
+    assert report["failures"] == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "2 chunk(s) over the 2048-token budget were sent whole, each one sentence "
+        "longer than the budget (first in note N005)"
+    ]
 
 
 def test_extract_per_patient_artifact(runner, tmp_path):
