@@ -248,20 +248,35 @@ _NOTES = st.lists(st.one_of(_TEXT, st.text(alphabet="xy ", max_size=300)), max_s
 
 
 @settings(max_examples=400, deadline=None)
-@given(_NOTES, st.integers(1, 40), st.integers(1, 40))
-def test_chunk_text_matches_oracles_and_budget(text, budget, hard_limit):
+@given(_TEXT, st.integers(1, 40))
+def test_segment_sentences_matches_character_scan(text, budget):
+    # without a hard limit every chunk is a run of whole sentences, so the
+    # chunks fall on the character scan's sentences and on nothing else
     sentences = segment_sentences_oracle(text)
-    for limit in (None, hard_limit):
-        chunks = chunk_text(text, budget, "N1", limit)
-        assert chunks == pack_chunks_oracle(sentences, budget, "N1", limit)
-        # chunks keep every non-whitespace character, in order
-        assert "".join(c.text for c in chunks).replace(" ", "") == "".join(text.split())
-        for chunk in chunks:
-            assert chunk.oversized or chunk.estimated_tokens <= budget
-            if limit is not None:
-                assert chunk.estimated_tokens <= max(budget, limit)
-    # without a hard limit, chunks are whole sentences of the normalised text
-    assert " ".join(c.text for c in chunk_text(text, budget)) == " ".join(text.split())
+    chunks = chunk_text(text, budget, "N1")
+    start = 0
+    for chunk in chunks:
+        end = start + 1
+        while " ".join(sentences[start:end]) != chunk.text:
+            end += 1
+            assert end <= len(sentences), chunk.text
+        start = end
+    assert start == len(sentences)
+    # joining the chunks keeps every non-whitespace character, in order
+    assert " ".join(c.text for c in chunks) == " ".join(text.split())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_NOTES, st.integers(1, 40), st.none() | st.integers(1, 40))
+def test_pack_chunks_matches_join_oracle_and_budget(text, budget, hard_limit):
+    chunks = chunk_text(text, budget, "N1", hard_limit)
+    assert chunks == pack_chunks_oracle(segment_sentences_oracle(text), budget, "N1", hard_limit)
+    # chunks keep every non-whitespace character, in order
+    assert "".join(c.text for c in chunks).replace(" ", "") == "".join(text.split())
+    for chunk in chunks:
+        assert chunk.oversized or chunk.estimated_tokens <= budget
+        if hard_limit is not None:
+            assert chunk.estimated_tokens <= max(budget, hard_limit)
 
 
 # Text aimed at the false candidates the search skips: guarded abbreviations
