@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from dataclasses import dataclass
 
 from .errors import ParameterError
-
-logger = logging.getLogger(__name__)
 
 # Abbreviations that must not end a sentence. Matched case-sensitively against
 # the whitespace-delimited token ending at the period ("Pt." guards, "pt" in
@@ -72,49 +69,18 @@ def _chunk_end(text: str, start: int, width: int) -> int:
     return len(text)
 
 
-def _hard_split(sentence: str, hard_limit: int) -> list[str]:
-    """Last-resort split of a single oversized sentence on whitespace."""
-    max_chars = hard_limit * CHARS_PER_TOKEN
-    pieces: list[str] = []
-    current: list[str] = []
-    length = 0
-    for word in sentence.split():
-        # A single word longer than the limit is sliced by characters.
-        while len(word) > max_chars:
-            if current:
-                pieces.append(" ".join(current))
-                current, length = [], 0
-            pieces.append(word[:max_chars])
-            word = word[max_chars:]
-        if current and length + 1 + len(word) > max_chars:
-            pieces.append(" ".join(current))
-            current, length = [], 0
-        length += len(word) + (1 if current else 0)
-        current.append(word)
-    if current:
-        pieces.append(" ".join(current))
-    return pieces
-
-
-def chunk_text(
-    text: str,
-    budget: int = DEFAULT_CHUNK_BUDGET,
-    note_id: str = "",
-    hard_limit: int | None = None,
-) -> list[Chunk]:
+def chunk_text(text: str, budget: int = DEFAULT_CHUNK_BUDGET, note_id: str = "") -> list[Chunk]:
     """Greedy first-fit packing of whole sentences into token-budgeted chunks.
 
     A sentence ends at [.!?], whitespace and an uppercase letter or digit, but
     not after a guarded abbreviation. On the whitespace-normalised text, each
     chunk ends at the last sentence end within `budget * 4` characters of its
     start, found searching back from there, so no character is scanned more
-    than twice. A sentence over the budget alone is a chunk flagged oversized;
-    with a hard_limit it is also split on whitespace, with a warning.
+    than twice. A sentence over the budget is one chunk of its own, flagged
+    oversized; nothing splits it.
     """
     if budget < 1:
         raise ParameterError(f"chunk budget must be >= 1 token, got {budget}")
-    if hard_limit is not None and hard_limit < 1:
-        raise ParameterError(f"hard limit must be >= 1 token, got {hard_limit}")
     text = " ".join(text.split())
     width = budget * CHARS_PER_TOKEN
     chunks: list[Chunk] = []
@@ -123,18 +89,5 @@ def chunk_text(
         end = _chunk_end(text, start, width)
         piece, start = text[start:end], end + 1
         tokens = estimate_tokens(piece)
-        if tokens <= budget:
-            chunks.append(Chunk(note_id, len(chunks), piece, tokens))
-            continue
-        pieces = [piece]
-        if hard_limit is not None and tokens > hard_limit:
-            logger.warning(
-                "note %s: sentence of ~%d tokens exceeds hard limit %d; splitting on whitespace",
-                note_id or "<unnamed>",
-                tokens,
-                hard_limit,
-            )
-            pieces = _hard_split(piece, hard_limit)
-        for part in pieces:
-            chunks.append(Chunk(note_id, len(chunks), part, estimate_tokens(part), oversized=True))
+        chunks.append(Chunk(note_id, len(chunks), piece, tokens, tokens > budget))
     return chunks

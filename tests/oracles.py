@@ -253,9 +253,12 @@ def segment_sentences_oracle(text: str) -> list:
     return sentences
 
 
-def pack_chunks_oracle(sentences: list, budget: int, note_id: str = "", hard_limit=None) -> list:
+def pack_chunks_oracle(sentences: list, budget: int, note_id: str = "") -> list:
     """Greedy packing that re-joins the candidate chunk to test each sentence."""
-    from pheno_mine.chunking import Chunk, _hard_split, estimate_tokens
+    from pheno_mine.chunking import Chunk
+
+    def tokens(text):
+        return math.ceil(len(text) / 4)
 
     chunks = []
     current = []
@@ -263,22 +266,15 @@ def pack_chunks_oracle(sentences: list, budget: int, note_id: str = "", hard_lim
     def flush():
         if current:
             text = " ".join(current)
-            chunks.append(Chunk(note_id, len(chunks), text, estimate_tokens(text)))
+            chunks.append(Chunk(note_id, len(chunks), text, tokens(text)))
             current.clear()
 
     for sentence in sentences:
-        if estimate_tokens(sentence) > budget:
+        if tokens(sentence) > budget:
             flush()
-            if hard_limit is not None and estimate_tokens(sentence) > hard_limit:
-                pieces = _hard_split(sentence, hard_limit)
-            else:
-                pieces = [sentence]
-            for piece in pieces:
-                chunks.append(
-                    Chunk(note_id, len(chunks), piece, estimate_tokens(piece), oversized=True)
-                )
+            chunks.append(Chunk(note_id, len(chunks), sentence, tokens(sentence), oversized=True))
             continue
-        if current and estimate_tokens(" ".join(current + [sentence])) > budget:
+        if current and tokens(" ".join(current + [sentence])) > budget:
             flush()
         current.append(sentence)
     flush()

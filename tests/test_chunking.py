@@ -1,4 +1,3 @@
-import logging
 import math
 import re
 import sys
@@ -114,31 +113,11 @@ def test_single_oversized_sentence_is_flagged_not_split():
     assert chunks[0].estimated_tokens > 10
 
 
-def test_hard_limit_splits_oversized_sentences_on_whitespace():
-    big = ("word " * 200).strip()
-    chunks = chunk_text(big, 10, "N1", hard_limit=10)
-    assert len(chunks) > 1
-    # pieces stay flagged: the sentence-boundary guarantee was broken
-    assert all(c.oversized for c in chunks)
-    assert all(c.estimated_tokens <= 10 for c in chunks)
-    reassembled = " ".join(c.text for c in chunks)
-    assert reassembled == big
-
-
-def test_hard_limit_slices_single_giant_token():
-    giant = "x" * 400
-    chunks = chunk_text(giant, 10, "N1", hard_limit=10)
-    assert all(len(c.text) <= 40 for c in chunks)
-    assert "".join(c.text for c in chunks) == giant
-
-
 def test_budget_must_be_positive():
     with pytest.raises(ParameterError):
         chunk_text("abc.", 0, "N1")
     with pytest.raises(ParameterError):
         chunk_text("", 0)
-    with pytest.raises(ParameterError):
-        chunk_text("abc.", 1, "N1", hard_limit=0)
 
 
 def test_chunk_text_union_preserves_all_sentences(demo_notes):
@@ -160,10 +139,10 @@ def test_extraction_calls_chunking_chunk_text_by_its_name():
 # and the character after it
 
 
-def chunked(text: str, budget: int, hard_limit=None) -> list:
+def chunked(text: str, budget: int) -> list:
     """(text, oversized) of each chunk, checked against the oracles first."""
-    chunks = chunk_text(text, budget, "N1", hard_limit)
-    assert chunks == pack_chunks_oracle(segment_sentences_oracle(text), budget, "N1", hard_limit)
+    chunks = chunk_text(text, budget, "N1")
+    assert chunks == pack_chunks_oracle(segment_sentences_oracle(text), budget, "N1")
     return [(c.text, c.oversized) for c in chunks]
 
 
@@ -210,22 +189,12 @@ def test_false_boundary_last_in_the_window_is_skipped(rest):
     assert chunked(text, 6) == [("Ab.", False), (rest, False)]
 
 
-def test_window_without_a_true_boundary_gives_one_oversized_chunk(caplog):
+def test_window_without_a_true_boundary_gives_one_oversized_chunk():
     # only "Dr. Smith" is a candidate within 20 characters, and it is false
     text = "Seen by Dr. Smith and Dr. Jones on rounds. Stable."
     assert chunked(text, 5) == [
         ("Seen by Dr. Smith and Dr. Jones on rounds.", True),
         ("Stable.", False),
-    ]
-    with caplog.at_level(logging.WARNING, logger="pheno_mine.chunking"):
-        assert chunked(text, 5, hard_limit=5) == [
-            ("Seen by Dr. Smith", True),
-            ("and Dr. Jones on", True),
-            ("rounds.", True),
-            ("Stable.", False),
-        ]
-    assert [r.getMessage() for r in caplog.records] == [
-        "note N1: sentence of ~11 tokens exceeds hard limit 5; splitting on whitespace"
     ]
 
 
@@ -241,7 +210,7 @@ _FRAGMENTS = st.sampled_from(
     ]
 )
 _TEXT = st.lists(_FRAGMENTS | st.text(max_size=4), max_size=60).map("".join)
-# Notes of such text, with long runs of words for the hard split.
+# Notes of such text, with long runs of words, which give sentences over the budget.
 _NOTES = st.lists(st.one_of(_TEXT, st.text(alphabet="xy ", max_size=300)), max_size=20).map(
     " ".join
 )
@@ -250,8 +219,8 @@ _NOTES = st.lists(st.one_of(_TEXT, st.text(alphabet="xy ", max_size=300)), max_s
 @settings(max_examples=400, deadline=None)
 @given(_TEXT, st.integers(1, 40))
 def test_segment_sentences_matches_character_scan(text, budget):
-    # without a hard limit every chunk is a run of whole sentences, so the
-    # chunks fall on the character scan's sentences and on nothing else
+    # every chunk is a run of whole sentences, so the chunks fall on the
+    # character scan's sentences and on nothing else
     sentences = segment_sentences_oracle(text)
     chunks = chunk_text(text, budget, "N1")
     start = 0
@@ -267,16 +236,14 @@ def test_segment_sentences_matches_character_scan(text, budget):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_NOTES, st.integers(1, 40), st.none() | st.integers(1, 40))
-def test_pack_chunks_matches_join_oracle_and_budget(text, budget, hard_limit):
-    chunks = chunk_text(text, budget, "N1", hard_limit)
-    assert chunks == pack_chunks_oracle(segment_sentences_oracle(text), budget, "N1", hard_limit)
+@given(_NOTES, st.integers(1, 40))
+def test_pack_chunks_matches_join_oracle_and_budget(text, budget):
+    chunks = chunk_text(text, budget, "N1")
+    assert chunks == pack_chunks_oracle(segment_sentences_oracle(text), budget, "N1")
     # chunks keep every non-whitespace character, in order
     assert "".join(c.text for c in chunks).replace(" ", "") == "".join(text.split())
     for chunk in chunks:
-        assert chunk.oversized or chunk.estimated_tokens <= budget
-        if hard_limit is not None:
-            assert chunk.estimated_tokens <= max(budget, hard_limit)
+        assert chunk.oversized == (chunk.estimated_tokens > budget)
 
 
 # Text aimed at the false candidates the search skips: guarded abbreviations
@@ -309,9 +276,6 @@ def test_split_and_repair_matches_oracles(text):
     sentences = segment_sentences_oracle(text)
     for budget in range(1, 41):
         assert chunk_text(text, budget) == pack_chunks_oracle(sentences, budget)
-        assert chunk_text(text, budget, hard_limit=budget) == pack_chunks_oracle(
-            sentences, budget, hard_limit=budget
-        )
 
 
 @pytest.mark.parametrize("unit", ["x. \u00e9 ", "Dr. X ", "(Dr. \u00c9 ", "e.g.\u2003\u00df "])
@@ -321,10 +285,7 @@ def test_long_run_of_false_boundaries_segments_like_oracle(unit):
     text = unit * (200_000 // len(unit))
     sentences = segment_sentences_oracle(text)
     assert len(sentences) == 1
-    for hard_limit in (None, DEFAULT_CHUNK_BUDGET):
-        assert chunk_text(text, hard_limit=hard_limit) == pack_chunks_oracle(
-            sentences, DEFAULT_CHUNK_BUDGET, hard_limit=hard_limit
-        )
+    assert chunk_text(text) == pack_chunks_oracle(sentences, DEFAULT_CHUNK_BUDGET)
 
 
 def test_boundary_follower_is_an_ascii_capital_or_digit_or_non_ascii():
