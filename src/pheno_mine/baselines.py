@@ -12,6 +12,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -101,14 +102,14 @@ def _concept_columns(concepts: list) -> list:
     ]
 
 
+def _note_grams(tokens: list, max_n: int) -> Iterable:
+    """Each n-gram (n <= max_n) of ``tokens`` as a tuple, in one walk per n."""
+    return chain.from_iterable(zip(*(tokens[k:] for k in range(n))) for n in range(1, max_n + 1))
+
+
 def _note_concepts_exact(tokens: list, dictionary: ConceptDictionary, max_n: int) -> set:
-    found: set[str] = set()
-    for n in range(1, max_n + 1):
-        for i in range(len(tokens) - n + 1):
-            gram = " ".join(tokens[i : i + n])
-            concept = dictionary.terms.get(gram)
-            if concept is not None:
-                found.add(concept)
+    found = set(map(dictionary.terms.get, map(" ".join, _note_grams(tokens, max_n))))
+    found.discard(None)
     return found
 
 
@@ -122,6 +123,11 @@ def _min_overlap(size: int, threshold: float) -> int:
     return next(k for k in range(1, size + 1) if k / size >= threshold)
 
 
+# Distinct grams whose matches one index remembers: at about 110 bytes an
+# entry, a memo stays under 7 MB however many notes a run scans.
+GRAM_MEMO_LIMIT = 1 << 16
+
+
 class _JaccardIndex:
     """Token-set Jaccard matching against a dictionary through an inverted index.
 
@@ -129,9 +135,14 @@ class _JaccardIndex:
     token; a token in no term ranks below all others. A gram and a term with
     ``overlap >= k`` share their lowest-ranked common token inside each one's
     first ``size - k + 1`` tokens (prefix filtering), so each term is indexed
-    under that prefix only and a gram probes with its own prefix. Candidates
-    then pass the size filter and the exact Jaccard test, and the matches are
-    exactly those of comparing every gram with every term.
+    under that prefix only and a gram probes with its own prefix; the prefix
+    length is computed once per set size. Candidates then pass the size
+    filter and the exact Jaccard test, and the matches are exactly those of
+    comparing every gram with every term.
+
+    A gram's matches depend on the gram alone, so the index memoises them by
+    gram tuple across every note it scans. The memo holds at most
+    ``GRAM_MEMO_LIMIT`` grams and starts over when full.
     """
 
     def __init__(self, dictionary: ConceptDictionary, threshold: float):
@@ -140,43 +151,48 @@ class _JaccardIndex:
         frequency = Counter(token for term_set, _ in term_sets for token in term_set)
         ordered = sorted(frequency, key=lambda token: (frequency[token], token))
         self.rank = {token: position for position, token in enumerate(ordered)}
+        # probe length by set size, of a term or of a gram (at most MAX_NGRAM
+        # distinct tokens); an empty token set has Jaccard 0 with every gram,
+        # so it is never indexed
+        sizes = {len(term_set) for term_set, _ in term_sets if term_set}
+        self.prefix = {
+            n: n - _min_overlap(n, threshold) + 1 for n in sizes.union(range(1, MAX_NGRAM + 1))
+        }
         self.postings: dict[str, list] = {}
         for term_set, concept in term_sets:
-            size = len(term_set)
-            if not size:
-                continue  # an empty token set has Jaccard 0 with every gram
-            by_rank = sorted(term_set, key=self.rank.__getitem__)
-            for token in by_rank[: size - _min_overlap(size, threshold) + 1]:
-                self.postings.setdefault(token, []).append((size, term_set, concept))
-        # probe length by gram set size; a gram has at most MAX_NGRAM distinct tokens
-        self.gram_prefix = [0] + [
-            n - _min_overlap(n, threshold) + 1 for n in range(1, MAX_NGRAM + 1)
-        ]
+            if term_set:
+                by_rank = sorted(term_set, key=self.rank.__getitem__)
+                for token in by_rank[: self.prefix[len(term_set)]]:
+                    self.postings.setdefault(token, []).append((len(term_set), term_set, concept))
+        self.memo: dict[tuple, tuple] = {}
 
     def note_concepts(self, tokens: list) -> set:
         """Concepts with a term at Jaccard >= threshold to some n-gram (n <= 5) of ``tokens``."""
-        threshold = self.threshold
+        memo = self.memo
         rank = self.rank.get
         postings = self.postings
-        gram_prefix = self.gram_prefix
-        found: set[str] = set()
-        seen_grams: set[frozenset] = set()
-        for n in range(1, MAX_NGRAM + 1):
-            for i in range(len(tokens) - n + 1):
-                gram_set = frozenset(tokens[i : i + n])
-                if gram_set in seen_grams:
-                    continue
-                seen_grams.add(gram_set)
-                size = len(gram_set)
-                by_rank = sorted(gram_set, key=lambda token: rank(token, -1))
-                for token in by_rank[: gram_prefix[size]]:
-                    for term_size, term_set, concept in postings.get(token, ()):
-                        if concept in found:
-                            continue
-                        if min(size, term_size) / max(size, term_size) < threshold:
-                            continue
-                        if len(gram_set & term_set) / len(gram_set | term_set) >= threshold:
-                            found.add(concept)
+        threshold = self.threshold
+        grams = set(_note_grams(tokens, MAX_NGRAM))
+        # the hits are gathered first, since storing a miss may clear the memo
+        found: set[str] = set().union(*filter(None, map(memo.get, grams)))
+        for gram in grams.difference(memo):
+            # a miss: its matches, from the gram alone
+            gram_set = frozenset(gram)
+            size = len(gram_set)
+            by_rank = sorted(gram_set, key=lambda token: rank(token, -1))
+            matched: tuple = ()
+            for token in by_rank[: self.prefix[size]]:
+                for term_size, term_set, concept in postings.get(token, ()):
+                    if concept in matched or min(size, term_size) / max(size, term_size) < threshold:
+                        continue
+                    # the union's size is the same integer as len(gram_set | term_set)
+                    overlap = len(gram_set & term_set)
+                    if overlap / (size + term_size - overlap) >= threshold:
+                        matched += (concept,)
+            if len(memo) >= GRAM_MEMO_LIMIT:
+                memo.clear()
+            memo[gram] = matched
+            found.update(matched)
         return found
 
 
@@ -237,9 +253,10 @@ def ingest_ner_annotations(
 ) -> FeatureMatrix:
     """Read a {note_id, concept, score} JSONL file into a one-hot matrix.
 
-    Annotations under min_score are discarded; malformed lines are skipped
-    with a warning, and a file with only malformed lines is an error. Rows
-    follow first appearance of each note; columns are sorted concept ids.
+    Annotations under min_score are discarded; malformed lines, such as an
+    empty note_id or a boolean score, are skipped with a warning, and a file
+    with only malformed lines is an error. Rows follow first appearance of
+    each note; columns are sorted concept ids.
     """
     if not 0.0 <= min_score <= 1.0:
         raise ParameterError(f"min_score must be in [0, 1], got {min_score}")
@@ -253,9 +270,11 @@ def ingest_ner_annotations(
             doc = parse_json(line)
             note_id = doc["note_id"]
             concept = doc["concept"]
-            score = float(doc["score"])
-            if not isinstance(note_id, str) or not isinstance(concept, str) or not concept:
+            if not (isinstance(note_id, str) and note_id and isinstance(concept, str) and concept):
                 raise TypeError("note_id and concept must be non-empty strings")
+            if isinstance(doc["score"], bool):
+                raise TypeError(f"score {doc['score']} is not a number")
+            score = float(doc["score"])
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"score {score} outside [0, 1]")
         except (ValueError, KeyError, TypeError) as exc:

@@ -4,8 +4,10 @@ Everything here is deliberately written via a different route than the
 library code: pair-by-pair brute force for the clustering indices,
 numerical integration for the chi-square survival function, a loop over
 notes for the per-category counts of a matrix, SVD for PCA,
-exhaustive assignment enumeration for k-means, and one ``json.dumps`` of the
-whole blob for the response-cache key. Slow and simple wins.
+exhaustive assignment enumeration for k-means, every n-gram against every
+term for dictionary matching, with each exact window joined into a string,
+and one ``json.dumps`` of the whole blob for the response-cache key. Slow and
+simple wins.
 """
 
 import hashlib
@@ -283,6 +285,17 @@ def pack_chunks_oracle(sentences: list, budget: int, note_id: str = "") -> list:
 
 # ---------------------------------------------------------------------------
 # dictionary matching, every n-gram against every term
+
+
+def note_concepts_exact_oracle(tokens: list, terms: dict, max_n: int) -> set:
+    """Concepts whose term equals some window of n <= max_n tokens, joined with spaces."""
+    found = set()
+    for n in range(1, max_n + 1):
+        for i in range(len(tokens) - n + 1):
+            window = " ".join(tokens[i : i + n])
+            if window in terms:
+                found.add(terms[window])
+    return found
 
 
 def note_concepts_jaccard_oracle(tokens: list, terms: dict, max_n: int, threshold: float) -> set:

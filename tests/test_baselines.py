@@ -20,7 +20,7 @@ from pheno_mine.baselines import (
 from pheno_mine.cohort import NoteRecord, UNLABELED
 from pheno_mine.errors import BaselineError, ParameterError
 
-from oracles import note_concepts_jaccard_oracle
+from oracles import note_concepts_exact_oracle, note_concepts_jaccard_oracle
 
 
 def note(note_id: str, text: str, cohort: str = "CN") -> NoteRecord:
@@ -232,6 +232,53 @@ def test_jaccard_index_equals_all_pairs_oracle(terms, notes, threshold):
         assert index.note_concepts(tokens) == expected
 
 
+class SizeRecordingDict(dict):
+    """A dict that remembers the most entries it ever held."""
+
+    largest = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+@settings(max_examples=200, deadline=None)
+@given(terms=term_dictionaries, notes=st.lists(note_tokens, max_size=4), threshold=thresholds)
+def test_jaccard_memo_never_exceeds_its_bound(bound, terms, notes, threshold):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baselines, "GRAM_MEMO_LIMIT", bound)
+        index = baselines._JaccardIndex(ConceptDictionary(terms=terms, min_term_length=0), threshold)
+        index.memo = SizeRecordingDict()
+        # the second pass meets grams the memo kept, evicted or never held
+        for tokens in notes + notes:
+            expected = note_concepts_jaccard_oracle(tokens, terms, baselines.MAX_NGRAM, threshold)
+            assert index.note_concepts(tokens) == expected
+            assert index.memo.largest <= bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=term_dictionaries,
+    notes=st.lists(note_tokens, min_size=1, max_size=4),
+    max_n=st.integers(1, baselines.MAX_NGRAM),
+)
+def test_exact_pass_equals_joined_window_oracle(terms, notes, max_n):
+    dictionary = ConceptDictionary(terms=terms, min_term_length=0)
+    for tokens in notes:
+        expected = note_concepts_exact_oracle(tokens, terms, max_n)
+        assert baselines._note_concepts_exact(tokens, dictionary, max_n) == expected
+    # through the extraction, which picks its window itself
+    matrix = extract_dictionary_features(
+        [note(f"N{i}", " ".join(tokens)) for i, tokens in enumerate(notes)],
+        dictionary,
+        min_doc_freq=0,
+    )
+    for row, tokens in zip(matrix.data, notes):
+        found = {c.phenotype_id for c, cell in zip(matrix.columns, row) if cell}
+        assert found == note_concepts_exact_oracle(tokens, terms, baselines.MAX_NGRAM)
+
+
 def test_jaccard_match_exactly_at_threshold_survives_rounding():
     # a gram of 3 inside a term of 187 tokens has Jaccard 3 / 187, but
     # 3 / 187 * 187 > 3 in floats: a size filter or a minimum overlap computed
@@ -375,6 +422,21 @@ def test_ner_ingestion_skips_malformed_lines(tmp_path, caplog):
         matrix = ingest_ner_annotations(path)
     assert matrix.note_ids == ["N1"]
     assert sum("malformed" in r.message for r in caplog.records) == 5
+
+
+def test_ner_ingestion_rejects_empty_note_id_and_boolean_score(tmp_path, caplog):
+    bad = [
+        {"note_id": "", "concept": "C1", "score": 0.9},
+        {"note_id": "N2", "concept": "C1", "score": True},
+    ]
+    path = write_annotations(tmp_path, [{"note_id": "N1", "concept": "C2", "score": 0.9}] + bad)
+    with caplog.at_level(logging.WARNING):
+        matrix = ingest_ner_annotations(path)
+    assert matrix.note_ids == ["N1"]
+    assert [c.phenotype_id for c in matrix.columns] == ["C2"]
+    assert sum("malformed" in r.message for r in caplog.records) == 2
+    with pytest.raises(BaselineError, match="all 2 annotation lines"):
+        ingest_ner_annotations(write_annotations(tmp_path, bad, name="bad.jsonl"))
 
 
 def test_ner_ingestion_all_malformed_is_error(tmp_path):
