@@ -254,9 +254,9 @@ def ingest_ner_annotations(
     """Read a {note_id, concept, score} JSONL file into a one-hot matrix.
 
     Annotations under min_score are discarded; malformed lines, such as an
-    empty note_id or a boolean score, are skipped with a warning, and a file
-    with only malformed lines is an error. Rows follow first appearance of
-    each note; columns are sorted concept ids.
+    empty note_id or a score that is not a JSON number, are skipped with a
+    warning, and a file with only malformed lines is an error. Rows follow
+    first appearance of each note; columns are sorted concept ids.
     """
     if not 0.0 <= min_score <= 1.0:
         raise ParameterError(f"min_score must be in [0, 1], got {min_score}")
@@ -272,9 +272,9 @@ def ingest_ner_annotations(
             concept = doc["concept"]
             if not (isinstance(note_id, str) and note_id and isinstance(concept, str) and concept):
                 raise TypeError("note_id and concept must be non-empty strings")
-            if isinstance(doc["score"], bool):
-                raise TypeError(f"score {doc['score']} is not a number")
-            score = float(doc["score"])
+            score = doc["score"]
+            if isinstance(score, bool) or not isinstance(score, (int, float)):
+                raise TypeError(f"score {score!r} is not a JSON number")
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"score {score} outside [0, 1]")
         except (ValueError, KeyError, TypeError) as exc:

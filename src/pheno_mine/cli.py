@@ -389,15 +389,16 @@ def extract_cmd(
                 out / "feature_matrix_patients.csv", provenance
             )
 
-        requests_total = gateway.cache_hits + gateway.cache_misses
+        requests = sum(p.requests for p in profiles)
+        cache_hits = sum(p.cache_hits for p in profiles)
         report = {
             "provenance": provenance,
             "notes": len(profiles),
             "cohort_counts": manifest.counts,
-            "requests": requests_total,
+            "requests": requests,
             "failures": failure_count,
-            "cache_hits": gateway.cache_hits,
-            "cache_hit_rate": (gateway.cache_hits / requests_total) if requests_total else 0.0,
+            "cache_hits": cache_hits,
+            "cache_hit_rate": (cache_hits / requests) if requests else 0.0,
             "rejected_tokens": sum(len(p.rejects) for p in profiles),
             "note_token_estimate": sum(p.estimated_tokens for p in profiles),
             "oversized_chunks": sum(p.oversized_chunks for p in profiles),
@@ -586,7 +587,7 @@ def pca_cmd(matrix_path, seed, out_dir):
 @click.option("--terms", "terms_path", type=EXISTING_FILE)
 @click.option("--annotations", "annotations_path", type=EXISTING_FILE)
 @click.option("--manifest", "manifest_path", type=EXISTING_FILE)
-@click.option("--min-term-length", type=int, default=4)
+@click.option("--min-term-length", type=click.IntRange(min=0), default=4)
 @click.option("--min-doc-freq", type=click.IntRange(min=0), default=50)
 @click.option("--similarity-threshold", type=click.FloatRange(0, 1, min_open=True), default=1.0)
 @click.option("--min-score", type=FiniteFloatRange(0, 1), default=0.8)

@@ -49,6 +49,9 @@ class ExtractionProfile:
     estimated_tokens: int = 0
     # chunks over the budget: sentences longer than it, each sent as one prompt
     oversized_chunks: int = 0
+    # the note's (chunk, category) requests, and those the response cache served
+    requests: int = 0
+    cache_hits: int = 0
 
 
 def normalize_token(raw: str) -> str:
@@ -166,10 +169,10 @@ def extract_notes(
             ):
                 yield (profile, chunk, category), request
 
-    failures = 0
     for (profile, chunk, category), response, error in gateway.complete_stream(
         jobs(), max_in_flight=max_in_flight
     ):
+        profile.requests += 1
         if error is not None:
             logger.warning(
                 "note %s chunk %d category %s: completion failed: %s",
@@ -179,8 +182,8 @@ def extract_notes(
                 error,
             )
             profile.incomplete.append((chunk.chunk_index, category.key()))
-            failures += 1
             continue
+        profile.cache_hits += response.cached
         _merge_result(profile, chunk, category, response.text)
     oversized = sum(p.oversized_chunks for p in profiles)
     if oversized:
@@ -191,7 +194,7 @@ def extract_notes(
             chunk_budget,
             next(p.note_id for p in profiles if p.oversized_chunks),
         )
-    return profiles, failures
+    return profiles, sum(len(p.incomplete) for p in profiles)
 
 
 def build_feature_matrix(

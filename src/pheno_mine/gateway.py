@@ -16,8 +16,6 @@ import json
 import logging
 import math
 import os
-import socket
-import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -84,7 +82,6 @@ class CompletionRequest:
 @dataclass(frozen=True)
 class CompletionResponse:
     text: str
-    backend_id: str
     cached: bool
     latency_ms: float
 
@@ -188,27 +185,38 @@ class HttpChatBackend:
         self.base_url = base_url.rstrip("/")
         try:
             parsed = urlparse(self.base_url)
-            port = parsed.port
-        except ValueError as exc:  # a port outside 0-65535 or not a number, a bad [IPv6]
+            parsed.port  # raises for a port outside 0-65535 or not a number
+        except ValueError as exc:  # that, or a bad [IPv6]
             raise ConfigError(f"cannot parse base URL {base_url!r}: {exc}") from None
         if parsed.scheme not in ("http", "https") or not parsed.hostname:
             raise ConfigError(f"base URL needs an http or https scheme and a host, got {base_url!r}")
-        self.host, self.tls = parsed.hostname, parsed.scheme == "https"
-        self.port = port if port is not None else 443 if self.tls else 80
+        # host and port as the URL writes them, which is how urllib routes them
+        self.tls, self.netloc = parsed.scheme == "https", parsed.netloc.rpartition("@")[2]
         self.url = f"{self.base_url}/v1/chat/completions"
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV_VAR)
         self.timeout = timeout
 
     def preflight(self):
-        """Fail fast with one clear message when the endpoint is unreachable or untrusted."""
-        try:
-            with socket.create_connection((self.host, self.port), timeout=5.0) as sock:
-                if self.tls:
-                    import ssl
+        """Fail fast with one clear message when the endpoint is unreachable or untrusted.
 
-                    context = ssl.create_default_context()
-                    context.wrap_socket(sock, server_hostname=self.host).close()
-        except OSError as exc:  # ssl.SSLError is one too
+        The probe takes the route of a request, through any proxy that urllib would use and
+        tunnelling to https; it completes the TLS handshake but sends the endpoint no request."""
+        import http.client
+        import urllib.request
+
+        proxy = urllib.request.getproxies().get("https" if self.tls else "http")
+        if proxy and urllib.request.proxy_bypass(self.netloc):
+            proxy = None
+        elif proxy:  # "host:port", "user:password@host:port" or a URL, as urllib takes it
+            proxy = urlparse(proxy if "://" in proxy else f"//{proxy}").netloc.rpartition("@")[2]
+        connection = http.client.HTTPSConnection if self.tls else http.client.HTTPConnection
+        try:
+            conn = connection(proxy or self.netloc, timeout=5.0)
+            if proxy and self.tls:
+                conn.set_tunnel(self.netloc)
+            conn.connect()
+            conn.close()
+        except (OSError, http.client.HTTPException) as exc:  # ssl.SSLError is an OSError
             message = f"completion endpoint {self.base_url} is unreachable: {exc}"
             raise TransportError(message) from exc
 
@@ -340,9 +348,6 @@ class LlmGateway:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._sleep = sleep
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._counter_lock = threading.Lock()
 
     def close(self):
         """Close the response cache, if there is one."""
@@ -355,21 +360,13 @@ class LlmGateway:
             key = ResponseCache.key(self.backend.backend_id, request)
             hit = self.cache.get(key)
             if hit is not None:
-                with self._counter_lock:
-                    self.cache_hits += 1
-                return CompletionResponse(
-                    text=hit, backend_id=self.backend.backend_id, cached=True, latency_ms=0.0
-                )
-        with self._counter_lock:
-            self.cache_misses += 1
+                return CompletionResponse(text=hit, cached=True, latency_ms=0.0)
         start = time.perf_counter()
         text = self._complete_with_retries(request)
         latency_ms = (time.perf_counter() - start) * 1000.0
         if key is not None:
             self.cache.put(key, text)
-        return CompletionResponse(
-            text=text, backend_id=self.backend.backend_id, cached=False, latency_ms=latency_ms
-        )
+        return CompletionResponse(text=text, cached=False, latency_ms=latency_ms)
 
     def _complete_with_retries(self, request: CompletionRequest) -> str:
         last_error = None
@@ -409,10 +406,7 @@ class LlmGateway:
 
     def _stream_inline(self, jobs):
         for tag, request in jobs:
-            try:
-                yield tag, self.complete(request), None
-            except Exception as exc:  # noqa: BLE001 - reported per request
-                yield tag, None, str(exc)
+            yield _settled(tag, functools.partial(self.complete, request))
 
     def _stream_threaded(self, jobs, max_in_flight: int):
         window: deque = deque()
@@ -420,7 +414,7 @@ class LlmGateway:
         pool = ThreadPoolExecutor(max_workers=max_in_flight)
         try:
             for tag, request in jobs:
-                window.append((tag, pool.submit(self.complete, request)))
+                window.append((tag, pool.submit(self.complete, request).result))
                 if len(window) >= limit:
                     while len(window) > limit // 2:
                         yield _settled(*window.popleft())
@@ -430,8 +424,9 @@ class LlmGateway:
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _settled(tag, future):
+def _settled(tag, result):
+    """``(tag, result(), None)``, or ``(tag, None, message)`` when ``result()`` raises."""
     try:
-        return tag, future.result(), None
+        return tag, result(), None
     except Exception as exc:  # noqa: BLE001 - reported per request
         return tag, None, str(exc)

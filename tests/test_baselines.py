@@ -439,6 +439,21 @@ def test_ner_ingestion_rejects_empty_note_id_and_boolean_score(tmp_path, caplog)
         ingest_ner_annotations(write_annotations(tmp_path, bad, name="bad.jsonl"))
 
 
+def test_ner_score_must_be_a_json_number(tmp_path, caplog):
+    strings = [
+        {"note_id": "N2", "concept": "C1", "score": "0.9"},
+        {"note_id": "N3", "concept": "C1", "score": " 1e-0 "},
+    ]
+    path = write_annotations(tmp_path, [{"note_id": "N1", "concept": "C2", "score": 1}] + strings)
+    with caplog.at_level(logging.WARNING):
+        matrix = ingest_ner_annotations(path)
+    assert matrix.note_ids == ["N1"]
+    assert [c.phenotype_id for c in matrix.columns] == ["C2"]
+    assert sum("not a JSON number" in r.message for r in caplog.records) == 2
+    with pytest.raises(BaselineError, match="all 2 annotation lines"):
+        ingest_ner_annotations(write_annotations(tmp_path, strings, name="bad.jsonl"))
+
+
 def test_ner_ingestion_all_malformed_is_error(tmp_path):
     path = tmp_path / "ner.jsonl"
     path.write_text("{oops}\n{also bad}\n")

@@ -380,6 +380,7 @@ NER = ["baseline", "--method", "ner", "--annotations", ANNOTATIONS]
         (NER, "min_score", float("nan")),
         (NER, "min_score", float("inf")),
         (NER, "min_score", 1.5),
+        (DICTIONARY, "min_term_length", -3),
     ],
 )
 def test_bad_config_value_is_one_line_before_artifacts(runner, extracted, tmp_path, command, key, value):
@@ -450,6 +451,7 @@ def test_config_verbose_logs_what_the_flag_logs(runner, tmp_path, caplog):
         [*NER, "--min-score", "nan"],
         [*NER, "--min-score", "inf"],
         [*NER, "--min-score", "-0.1"],
+        [*DICTIONARY, "--min-term-length", "-3"],
     ],
 )
 def test_bad_flag_value_is_a_usage_error_before_artifacts(runner, extracted, tmp_path, command):

@@ -1,5 +1,7 @@
 import json
+import tempfile
 from collections import Counter
+from contextlib import closing
 
 import pytest
 from click.testing import CliRunner
@@ -161,12 +163,74 @@ def test_inline_and_threaded_paths_agree(combined, mock_gateway, demo_notes):
         profiles, failures = extract_notes(
             demo_notes, combined, gateway, chunk_budget=40, max_in_flight=2
         )
-        assert gateway.cache_misses > 2 * WINDOW_PER_WORKER  # the window slides
+        assert sum(p.requests for p in profiles) > 2 * WINDOW_PER_WORKER  # the window slides
         results.append(([vars(p) for p in profiles], failures))
     assert results[0] == results[1]
     profiles, failures = results[0]
     assert failures == sum(len(p["incomplete"]) for p in profiles) > 0
     assert any(p["present"] for p in profiles)
+
+
+class PhrasesDownBackend:
+    """Fails every completion that asks about one of the ``broken`` category phrases."""
+
+    backend_id = "flaky"
+
+    def __init__(self, inner, broken, never_waits):
+        self.inner = inner
+        self.broken = broken
+        self.never_waits = never_waits
+
+    def complete_text(self, request):
+        if prompts.category_phrase_of(request.prompt) in self.broken:
+            raise TransientBackendError("backend down for this category")
+        return self.inner.complete_text(request)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    broken=st.sets(st.sampled_from([c.phrase() for c in CATEGORIES])),
+    budget=st.integers(min_value=10, max_value=80),
+)
+def test_requests_hits_and_failures_add_up(demo_notes, broken, budget):
+    chunks = {n.note_id: [c.text for c in chunk_text(n.text, budget)] for n in demo_notes}
+    failing = [c.key() for c in CATEGORIES if c.phrase() in broken]
+    count = sum(len(texts) for texts in chunks.values())
+    requests = count * len(CATEGORIES)
+    failures = count * len(failing)
+    # The demo notes share sentences, so below a budget of about 60 tokens some
+    # chunks recur, and a recurring prompt that completed is a hit in the first run.
+    repeats = count - len({text for texts in chunks.values() for text in texts})
+    table = MockRuleTable.from_csv(data_path("mock_rules.csv"))
+    results = []
+    for never_waits in (True, False):
+        backend = PhrasesDownBackend(MockBackend(table, COMBINED), broken, never_waits)
+        runs = []
+        with tempfile.TemporaryDirectory() as cache_dir:
+            for _ in range(2):  # cold, then warm on the same cache
+                with closing(
+                    LlmGateway(backend, cache_dir=cache_dir, max_attempts=1, sleep=lambda _: None)
+                ) as gateway:
+                    profiles, failed = extract_notes(
+                        demo_notes, COMBINED, gateway, chunk_budget=budget, max_in_flight=2
+                    )
+                for p in profiles:
+                    assert p.requests == len(chunks[p.note_id]) * len(CATEGORIES)
+                    assert sorted(p.incomplete) == sorted(
+                        (i, key) for i in range(len(chunks[p.note_id])) for key in failing
+                    )
+                assert failed == sum(len(p.incomplete) for p in profiles) == failures
+                runs.append((sum(p.cache_hits for p in profiles), [p.present for p in profiles]))
+        (cold_hits, present), (warm_hits, warm_present) = runs
+        expected_cold_hits = repeats * (len(CATEGORIES) - len(failing))
+        if never_waits:
+            assert cold_hits == expected_cold_hits  # 0 when every chunk is distinct
+        else:  # two requests for one prompt in flight at once both miss
+            assert cold_hits <= expected_cold_hits
+        assert warm_hits == requests - failures  # only the failed requests are sent again
+        assert warm_present == present
+        results.append(present)
+    assert results[0] == results[1]
 
 
 def test_extract_chunks_each_note_once(tmp_path, monkeypatch):
