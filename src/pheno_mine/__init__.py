@@ -9,23 +9,24 @@ clustering scored against cohort labels, PCA projections, and dictionary
 or NER baselines.
 """
 
-from .clustering import (
-    adjusted_rand_index,
-    evaluate_clustering,
-    fowlkes_mallows_index,
-    kmeans_fit,
-    normalized_mutual_information,
-)
+from importlib import import_module
+
 from .cohort import CohortManifest, NoteRecord, assign_cohort, build_manifest
 from .errors import PhenoMineError
 from .extraction import build_feature_matrix, extract_notes
 from .features import FeatureMatrix
 from .gateway import HttpChatBackend, LlmGateway, MockBackend, MockRuleTable
-from .pca import pca_project
 from .schema import PhenotypeList, builtin_list, combine_lists, load_phenotype_list
-from .stats import analyze_matrix, chi2_survival, chi_square_test
 
 __version__ = "0.1.0"
+
+# The analytics modules load numpy, so their names are imported on first use (PEP 562).
+_LAZY = {
+    "clustering": ("adjusted_rand_index", "evaluate_clustering", "fowlkes_mallows_index",
+                   "kmeans_fit", "normalized_mutual_information"),
+    "pca": ("pca_project",),
+    "stats": ("analyze_matrix", "chi2_survival", "chi_square_test"),
+}
 
 __all__ = [
     "CohortManifest",
@@ -55,3 +56,10 @@ __all__ = [
     "pca_project",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name in names:
+            return getattr(import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
 from .artifacts import parse_json, read_csv_rows, read_lines
 from .cohort import NoteRecord, UNLABELED
 from .errors import BaselineError, ParameterError
@@ -234,17 +232,19 @@ def extract_dictionary_features(
     dictionary.document_frequency = dict(sorted(frequency.items()))
     surviving = sorted(c for c, df in frequency.items() if df >= min_doc_freq)
     column_of = {c: i for i, c in enumerate(surviving)}
-    data = np.zeros((len(note_ids), len(surviving)), dtype=np.int8)
-    for row, found in enumerate(hits_per_note):
+    rows = []
+    for found in hits_per_note:
+        row = bytearray(len(surviving))
         for concept in found:
             col = column_of.get(concept)
             if col is not None:
-                data[row, col] = 1
+                row[col] = 1
+        rows.append(row)
     return FeatureMatrix(
         note_ids=note_ids,
         cohorts=cohorts,
         columns=_concept_columns(surviving),
-        data=data,
+        rows=rows,
     )
 
 
@@ -290,10 +290,12 @@ def ingest_ner_annotations(
     ordered_concepts = sorted(set().union(*note_concepts.values()))
     column_of = {c: i for i, c in enumerate(ordered_concepts)}
     note_ids = list(note_concepts)
-    data = np.zeros((len(note_ids), len(ordered_concepts)), dtype=np.int8)
-    for row, found in enumerate(note_concepts.values()):
+    rows = []
+    for found in note_concepts.values():
+        row = bytearray(len(ordered_concepts))
         for concept in found:
-            data[row, column_of[concept]] = 1
+            row[column_of[concept]] = 1
+        rows.append(row)
     columns = [
         FeatureColumn(index=i, list_id="ner", category="concepts", phenotype_id=c)
         for i, c in enumerate(ordered_concepts)
@@ -302,7 +304,7 @@ def ingest_ner_annotations(
         note_ids=note_ids,
         cohorts=[UNLABELED] * len(note_ids),
         columns=columns,
-        data=data,
+        rows=rows,
     )
 
 
@@ -313,5 +315,5 @@ def attach_cohorts(matrix: FeatureMatrix, cohort_of: dict) -> FeatureMatrix:
         note_ids=list(matrix.note_ids),
         cohorts=cohorts,
         columns=list(matrix.columns),
-        data=matrix.data.copy(),
+        rows=list(matrix.rows),
     )

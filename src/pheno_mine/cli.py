@@ -17,18 +17,11 @@ import click
 
 from . import baselines as baselines_mod
 from . import cohort as cohort_mod
-from . import extraction, figures, pca, stats
+from . import extraction
 from .artifacts import artifact_dir, data_path, read_json, read_text, write_json, write_text
 from .chunking import DEFAULT_CHUNK_BUDGET
-from .clustering import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_RESTARTS,
-    DEFAULT_TOL,
-    evaluate_clustering,
-    write_clustering_report,
-)
 from .errors import CohortError, ConfigError, PhenoMineError
-from .features import FeatureMatrix
+from .features import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL, FeatureMatrix
 from .gateway import (
     DEFAULT_MODEL,
     HttpChatBackend,
@@ -74,7 +67,7 @@ EXISTING_FILE = click.Path(exists=True, dir_okay=False)
 seed_option = click.option("--seed", type=SEED, default=0, help="Random seed recorded in every artifact.")
 out_dir_option = click.option("--out-dir", type=OUT_DIR, default=".", help="Artifact directory.")
 sample_option = click.option(
-    "--sample-per-cohort", type=click.IntRange(min=0), help="Cap each cohort at N notes."
+    "--sample-per-cohort", type=click.IntRange(min=1), help="Cap each cohort at N notes."
 )
 draws_option = click.option(
     "--draws", type=click.IntRange(min=1), default=1, help="Union of this many independent draws."
@@ -432,19 +425,31 @@ def _build_gateway(backend, plist, mock_rules, base_url, cache_dir) -> LlmGatewa
 
 
 # ---------------------------------------------------------------------------
-# Artifact writers shared by stats, cluster, pca and report
+# Artifact writers shared by stats, cluster, pca and report. Only these four
+# commands load numpy, through the analytics modules they import when called.
 
 
 def _stats_artifacts(report, out: Path, provenance: dict) -> str:
     """Write stats_report.csv and stats_report.txt; return the text table."""
+    from . import stats
+
     stats.write_stats_csv(report, out / "stats_report.csv", provenance)
     text = stats.format_stats_table(report)
     write_text(out / "stats_report.txt", text)
     return text
 
 
+def evaluate_clustering(*args, **kwargs):
+    """``clustering.evaluate_clustering``, imported on the first call."""
+    from .clustering import evaluate_clustering
+
+    return evaluate_clustering(*args, **kwargs)
+
+
 def _cluster_artifacts(matrix, pairs, out: Path, provenance: dict, **kmeans) -> str:
     """Cluster at each (k, scheme) pair, write clustering_report.json and .txt; return the text."""
+    from .clustering import write_clustering_report
+
     reports = [
         evaluate_clustering(matrix, k, label_scheme=scheme, list_id=provenance["list_id"], **kmeans)
         for k, scheme in pairs
@@ -462,6 +467,8 @@ def _cluster_artifacts(matrix, pairs, out: Path, provenance: dict, **kmeans) -> 
 
 def _pca_artifacts(matrix, out: Path, provenance: dict):
     """Project the matrix, write pca_scatter.csv and pca_scatter.svg; return the projection."""
+    from . import figures, pca
+
     projection = pca.pca_project(matrix)
     pca.write_pca_csv(projection, matrix.note_ids, matrix.cohorts, out / "pca_scatter.csv", provenance)
     figures.write_pca_svg(projection, matrix.cohorts, out / "pca_scatter.svg", provenance)
@@ -489,6 +496,8 @@ def _pca_artifacts(matrix, out: Path, provenance: dict):
 @guarded
 def stats_cmd(matrix_path, fixture_paths, builtin_fixtures, granularity, yates, seed, out_dir):
     """Chi-square presence/absence tests per category across cohorts."""
+    from . import stats
+
     out = artifact_dir(out_dir)
     paths = [Path(p) for p in fixture_paths]
     if builtin_fixtures:
@@ -549,12 +558,9 @@ def cluster_cmd(matrix_path, settings_raw, restarts, max_iter, tol, seed, out_di
     out = artifact_dir(out_dir)
     pairs = [_parse_setting(raw) for raw in settings_raw] or DEFAULT_CLUSTER_SETTINGS
     settings = [f"{k}:{s}" for k, s in pairs]
-    matrix, provenance = _load_matrix(
-        matrix_path, seed, command="cluster", settings=settings, restarts=restarts
-    )
-    text = _cluster_artifacts(
-        matrix, pairs, out, provenance, seed=seed, restarts=restarts, max_iter=max_iter, tol=tol
-    )
+    kmeans = {"restarts": restarts, "max_iter": max_iter, "tol": tol}
+    matrix, provenance = _load_matrix(matrix_path, seed, command="cluster", settings=settings, **kmeans)
+    text = _cluster_artifacts(matrix, pairs, out, provenance, seed=seed, **kmeans)
     click.echo(text.rstrip())
 
 
@@ -660,8 +666,12 @@ def baseline_cmd(
 @guarded
 def report_cmd(matrix_path, yates, restarts, seed, out_dir):
     """Stats, clustering, and PCA artifacts from one matrix, plus a summary."""
+    from . import stats
+
     out = artifact_dir(out_dir)
-    matrix, provenance = _load_matrix(matrix_path, seed, command="report", yates=yates)
+    matrix, provenance = _load_matrix(
+        matrix_path, seed, command="report", yates=yates, restarts=restarts
+    )
     stats_text = _stats_artifacts(stats.analyze_matrix(matrix, yates=yates), out, provenance)
     cluster_text = _cluster_artifacts(
         matrix, DEFAULT_CLUSTER_SETTINGS, out, provenance, seed=seed, restarts=restarts

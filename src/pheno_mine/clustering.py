@@ -18,13 +18,9 @@ import numpy as np
 
 from .artifacts import write_json
 from .errors import AnalysisError, ParameterError
-from .features import FeatureMatrix
+from .features import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL, FeatureMatrix
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_RESTARTS = 10
-DEFAULT_MAX_ITER = 300
-DEFAULT_TOL = 1e-4
 
 LABEL_SCHEMES = ("three_way", "collapsed_patient")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import random
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -118,9 +119,8 @@ class CohortManifest:
                 raise CohortError(
                     f"manifest entry {e.note_id!r} has invalid cohort {e.cohort!r}"
                 )
-        ids = [e.note_id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, n in Counter(e.note_id for e in self.entries).items() if n > 1)
+        if dupes:
             raise CohortError(f"duplicate note ids in manifest: {dupes[:5]}")
 
     @property

@@ -13,8 +13,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .artifacts import atomic_file
 from .chunking import DEFAULT_CHUNK_BUDGET, Chunk, chunk_text
 from .cohort import CohortManifest, NoteRecord
@@ -213,11 +211,13 @@ def build_feature_matrix(
                 f"profile for note {profile.note_id!r} does not appear in the manifest"
             )
         by_note[profile.note_id] = profile
-    data = np.zeros((len(manifest.entries), len(columns)), dtype=np.int8)
-    for row, entry in enumerate(manifest.entries):
+    rows = []
+    for entry in manifest.entries:
         profile = by_note.get(entry.note_id)
         if profile is None:
             raise MatrixError(f"manifest note {entry.note_id!r} has no extraction profile")
+        row = bytearray(len(columns))
+        rows.append(row)
         for category_key, ids in profile.present.items():
             for pid in ids:
                 key = f"{category_key}:{pid}"
@@ -227,12 +227,12 @@ def build_feature_matrix(
                         f"profile for note {entry.note_id!r} references {key!r}, "
                         "which is not a column of the active list"
                     )
-                data[row, col] = 1
+                row[col] = 1
     return FeatureMatrix(
         note_ids=[e.note_id for e in manifest.entries],
         cohorts=[e.cohort for e in manifest.entries],
         columns=columns,
-        data=data,
+        rows=rows,
     )
 
 
@@ -245,26 +245,23 @@ def aggregate_by_patient(matrix: FeatureMatrix, manifest: CohortManifest) -> Fea
     patient_of = manifest.patient_of()
     severity = {"CN": 0, "MCI": 1, "ADRD": 2}
     order: list[str] = []
-    rows: dict[str, np.ndarray] = {}
+    rows: dict[str, bytes] = {}
     cohorts: dict[str, str] = {}
     for i, note_id in enumerate(matrix.note_ids):
         patient = patient_of.get(note_id, note_id)
         if patient not in rows:
             order.append(patient)
-            rows[patient] = matrix.data[i].copy()
+            rows[patient] = matrix.rows[i]
             cohorts[patient] = matrix.cohorts[i]
         else:
-            rows[patient] = np.maximum(rows[patient], matrix.data[i])
+            rows[patient] = bytes(map(max, rows[patient], matrix.rows[i]))
             if severity.get(matrix.cohorts[i], -1) > severity.get(cohorts[patient], -1):
                 cohorts[patient] = matrix.cohorts[i]
-    data = np.vstack([rows[p] for p in order]) if order else np.zeros(
-        (0, len(matrix.columns)), dtype=np.int8
-    )
     return FeatureMatrix(
         note_ids=order,
         cohorts=[cohorts[p] for p in order],
         columns=matrix.columns,
-        data=data,
+        rows=[rows[p] for p in order],
     )
 
 

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .artifacts import csv_artifact, read_csv
 from .errors import MatrixError
 from .schema import FeatureColumn, parse_column_key
+
+# k-means defaults, kept here so that the CLI can declare its options without loading numpy
+DEFAULT_RESTARTS = 10
+DEFAULT_MAX_ITER = 300
+DEFAULT_TOL = 1e-4
 
 
 @dataclass
@@ -20,29 +24,32 @@ class FeatureMatrix:
     note_ids: list
     cohorts: list
     columns: list  # list[FeatureColumn]
-    data: np.ndarray  # shape (len(note_ids), len(columns)), values in {0,1}
+    rows: list  # one bytes per note, one byte (0 or 1) per column
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.int8)
-        if self.data.ndim != 2:
-            raise MatrixError(f"feature data must be 2-dimensional, got shape {self.data.shape}")
-        rows, cols = self.data.shape
-        if rows != len(self.note_ids):
-            raise MatrixError(
-                f"{len(self.note_ids)} note ids but {rows} data rows"
-            )
+        self.rows = [bytes(row) for row in self.rows]
+        if len(self.rows) != len(self.note_ids):
+            raise MatrixError(f"{len(self.note_ids)} note ids but {len(self.rows)} data rows")
         if len(self.cohorts) != len(self.note_ids):
             raise MatrixError(
                 f"{len(self.note_ids)} note ids but {len(self.cohorts)} cohort labels"
             )
-        if cols != len(self.columns):
-            raise MatrixError(f"{len(self.columns)} columns declared but {cols} data columns")
-        if self.data.size and not np.isin(self.data, (0, 1)).all():
-            raise MatrixError("feature cells must be 0 or 1")
+        for row in self.rows:
+            if len(row) != len(self.columns):
+                raise MatrixError(f"{len(self.columns)} columns declared but {len(row)} data columns")
+            if row.translate(None, b"\x00\x01"):
+                raise MatrixError("feature cells must be 0 or 1")
+
+    @functools.cached_property
+    def data(self):
+        """The cells as a read-only int8 numpy array of this shape; the first call loads numpy."""
+        import numpy as np
+
+        return np.frombuffer(b"".join(self.rows), np.int8).reshape(self.shape)
 
     @property
     def shape(self) -> tuple:
-        return self.data.shape
+        return len(self.rows), len(self.columns)
 
     @property
     def column_keys(self) -> list:
@@ -59,7 +66,7 @@ class FeatureMatrix:
         with csv_artifact(path, provenance) as writer:
             writer.writerow(["note_id", "cohort"] + self.column_keys)
             for i, note_id in enumerate(self.note_ids):
-                writer.writerow([note_id, self.cohorts[i]] + self.data[i].tolist())
+                writer.writerow([note_id, self.cohorts[i]] + list(self.rows[i]))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureMatrix":
@@ -86,6 +93,5 @@ class FeatureMatrix:
             cohorts.append(row[1])
             if not set(row[2:]) <= {"0", "1"}:
                 raise MatrixError(f"{path}:{lineno}: feature cells must be 0 or 1")
-            rows.append(row[2:])
-        data = np.array(rows, dtype=np.int8) if rows else np.zeros((0, len(columns)), dtype=np.int8)
-        return cls(note_ids=note_ids, cohorts=cohorts, columns=columns, data=data)
+            rows.append(bytes(cell == "1" for cell in row[2:]))
+        return cls(note_ids=note_ids, cohorts=cohorts, columns=columns, rows=rows)

@@ -381,6 +381,7 @@ NER = ["baseline", "--method", "ner", "--annotations", ANNOTATIONS]
         (NER, "min_score", float("inf")),
         (NER, "min_score", 1.5),
         (DICTIONARY, "min_term_length", -3),
+        (["cohort", "--notes", NOTES, "--diagnoses", DIAGNOSES], "sample_per_cohort", 0),
     ],
 )
 def test_bad_config_value_is_one_line_before_artifacts(runner, extracted, tmp_path, command, key, value):
@@ -452,6 +453,7 @@ def test_config_verbose_logs_what_the_flag_logs(runner, tmp_path, caplog):
         [*NER, "--min-score", "inf"],
         [*NER, "--min-score", "-0.1"],
         [*DICTIONARY, "--min-term-length", "-3"],
+        ["cohort", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--sample-per-cohort", "0"],
     ],
 )
 def test_bad_flag_value_is_a_usage_error_before_artifacts(runner, extracted, tmp_path, command):
@@ -838,19 +840,49 @@ def test_bad_cache_store_is_one_line_before_artifacts(runner, tmp_path, kind):
     assert list(out.iterdir()) == []
 
 
-def test_extract_without_a_cache_never_loads_sqlite3(tmp_path):
-    args = ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--out-dir", str(tmp_path)]
+# numpy and the modules that use it; only stats, cluster, pca and report load them
+ANALYTICS = (
+    "numpy", "pheno_mine.stats", "pheno_mine.clustering", "pheno_mine.pca", "pheno_mine.figures"
+)
+
+
+def loaded_after(args: list, modules) -> list:
+    """Which of ``modules`` a fresh interpreter has loaded after running the CLI on ``args``."""
     code = (
-        "import sys; from pheno_mine.cli import main\n"
-        f"main({args!r}, standalone_mode=False)\n"
-        "print(sorted({'sqlite3', 'requests', 'urllib.request'} & set(sys.modules)))"
+        "import json, sys; from pheno_mine.cli import main\n"
+        f"main({[str(a) for a in args]!r}, standalone_mode=False)\n"
+        f"print(json.dumps(sorted(set({list(modules)!r}) & set(sys.modules))))"
     )
     path = [str(Path(pheno_mine.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_extract_without_a_cache_never_loads_sqlite3(tmp_path):
+    args = ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--out-dir", tmp_path]
+    assert loaded_after(args, ("sqlite3", "requests", "urllib.request", *ANALYTICS)) == []
     assert (tmp_path / "feature_matrix.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "command, artifact",
+    [
+        (DICTIONARY, "dictionary_matrix.csv"),
+        (NER, "ner_matrix.csv"),
+        (["cohort", "--notes", NOTES, "--diagnoses", DIAGNOSES], "manifest.csv"),
+        (["export-defaults"], "combined.json"),
+    ],
+)
+def test_commands_other_than_analytics_never_load_numpy(tmp_path, command, artifact):
+    assert loaded_after([*command, "--out-dir", tmp_path], ANALYTICS) == []
+    assert (tmp_path / artifact).is_file()
+
+
+def test_analytics_commands_load_numpy(extracted, tmp_path):
+    args = ["pca", "--matrix", extracted, "--out-dir", tmp_path]
+    assert loaded_after(args, ANALYTICS) == ["numpy", "pheno_mine.figures", "pheno_mine.pca"]
 
 
 def test_extract_imports_a_file_per_entry_cache(runner, tmp_path, caplog):
@@ -981,6 +1013,28 @@ def test_cluster_default_settings(runner, extracted, tmp_path):
     assert [run["setting"]["k"] for run in document["runs"]] == [2, 3]
     assert document["provenance"]["seed"] == 0
     assert (tmp_path / "clustering_report.txt").exists()
+
+
+def clustering_config_hash(runner, out, *args) -> str:
+    invoke(runner, *args, "--out-dir", out)
+    return json.loads((out / "clustering_report.json").read_text())["provenance"]["config_hash"]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("cluster", ["--max-iter", "5"]),
+        ("cluster", ["--tol", "0.5"]),
+        ("cluster", ["--restarts", "2"]),
+        ("report", ["--restarts", "2"]),
+    ],
+)
+def test_each_kmeans_option_is_in_the_config_hash(runner, extracted, tmp_path, command, flags):
+    args = [command, "--matrix", extracted]
+    default = clustering_config_hash(runner, tmp_path / "default", *args)
+    changed = clustering_config_hash(runner, tmp_path / "changed", *args, *flags)
+    assert changed != default
+    assert clustering_config_hash(runner, tmp_path / "again", *args, *flags) == changed
 
 
 def test_cluster_rejects_malformed_setting(runner, extracted, tmp_path):

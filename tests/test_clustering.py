@@ -123,15 +123,12 @@ def test_kmeans_duplicate_rows_force_empty_cluster_repair():
 
 def test_kmeans_accepts_feature_matrix_rows():
     columns = ["list1:A:a", "list1:A:b", "list1:B:c"]
-    data = np.array(
-        [[1, 0, 0], [1, 1, 0], [0, 0, 1], [0, 1, 1], [1, 0, 1], [0, 0, 0]],
-        dtype=np.int8,
-    )
+    cells = [[1, 0, 0], [1, 1, 0], [0, 0, 1], [0, 1, 1], [1, 0, 1], [0, 0, 0]]
     matrix = FeatureMatrix(
         note_ids=[f"N{i}" for i in range(6)],
         cohorts=["CN", "CN", "MCI", "MCI", "ADRD", "ADRD"],
         columns=columns,
-        data=data,
+        rows=[bytes(r) for r in cells],
     )
     model = kmeans_fit(matrix, k=2, seed=0)
     assert model.assignments.shape == (6,)
@@ -323,7 +320,7 @@ def test_evaluate_clustering_on_feature_matrix(combined):
         note_ids=[f"N{i}" for i in range(45)],
         cohorts=cohorts,
         columns=columns,
-        data=np.array(rows, dtype=np.int8),
+        rows=[r.tobytes() for r in rows],
     )
     report = evaluate_clustering(matrix, k=3, label_scheme="three_way", seed=1)
     assert report.k == 3

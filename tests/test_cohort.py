@@ -139,6 +139,16 @@ def test_manifest_rejects_duplicate_note_ids():
         CohortManifest(entries=entries, seed=0)
 
 
+def test_duplicates_of_a_large_manifest_are_named_sorted_first_five():
+    ids = [f"N{i:06d}" for i in range(100_000)]
+    ids += ["N099999", "N000007", "N050000", "N000007", "N000003", "N070000", "N000042"]
+    entries = tuple(ManifestEntry(i, "P1", "CN") for i in ids)
+    expected = "['N000003', 'N000007', 'N000042', 'N050000', 'N070000']"
+    with pytest.raises(CohortError) as info:
+        CohortManifest(entries=entries, seed=0)
+    assert str(info.value) == f"duplicate note ids in manifest: {expected}"
+
+
 def test_sampling_is_deterministic_and_sized():
     entries = tuple(ManifestEntry(f"N{i}", f"P{i}", "CN") for i in range(20))
     manifest = CohortManifest(entries=entries, seed=0)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from pheno_mine.artifacts import atomic_file, csv_artifact, write_json, write_text
 from pheno_mine.cohort import COHORTS, CohortManifest, ManifestEntry, load_manifest, write_manifest
@@ -17,16 +16,16 @@ from pheno_mine.schema import FeatureColumn, feature_index
 
 def small_matrix(combined):
     columns = feature_index(combined)
-    data = np.zeros((3, len(columns)), dtype=np.int8)
-    data[0, 0] = 1
-    data[1, 5] = 1
-    data[2, 0] = 1
-    data[2, 36] = 1
+    rows = [bytearray(len(columns)) for _ in range(3)]
+    rows[0][0] = 1
+    rows[1][5] = 1
+    rows[2][0] = 1
+    rows[2][36] = 1
     return FeatureMatrix(
         note_ids=["N1", "N2", "N3"],
         cohorts=["CN", "MCI", "ADRD"],
         columns=columns,
-        data=data,
+        rows=rows,
     )
 
 
@@ -37,30 +36,40 @@ def test_shape_and_keys(combined):
     assert matrix.column_keys[0] == "list1:Memory Indicators:repeating"
 
 
+def test_data_is_a_read_only_array_of_the_rows(combined):
+    matrix = small_matrix(combined)
+    assert all(type(row) is bytes for row in matrix.rows)
+    assert matrix.data.dtype == np.int8 and matrix.data.shape == matrix.shape
+    assert matrix.data.tolist() == [list(row) for row in matrix.rows]
+    assert matrix.data is matrix.data
+    with pytest.raises(ValueError, match="read-only"):
+        matrix.data[0, 0] = 0
+
+
 def test_validation_rejects_inconsistent_shapes(combined):
     columns = feature_index(combined)
-    with pytest.raises(MatrixError):
+    with pytest.raises(MatrixError, match="1 note ids but 2 cohort labels"):
+        FeatureMatrix(note_ids=["N1"], cohorts=["CN", "MCI"], columns=columns, rows=[bytes(37)])
+    with pytest.raises(MatrixError, match="2 note ids but 1 data rows"):
+        FeatureMatrix(note_ids=["N1", "N2"], cohorts=["CN", "CN"], columns=columns, rows=[bytes(37)])
+    with pytest.raises(MatrixError, match="37 columns declared but 36 data columns"):
+        FeatureMatrix(note_ids=["N1"], cohorts=["CN"], columns=columns, rows=[bytes(36)])
+    # a ragged matrix: every row is checked, not only the first
+    with pytest.raises(MatrixError, match="37 columns declared but 38 data columns"):
         FeatureMatrix(
-            note_ids=["N1"],
-            cohorts=["CN", "MCI"],
-            columns=columns,
-            data=np.zeros((1, 37), dtype=np.int8),
-        )
-    with pytest.raises(MatrixError):
-        FeatureMatrix(
-            note_ids=["N1"],
-            cohorts=["CN"],
-            columns=columns,
-            data=np.zeros((1, 36), dtype=np.int8),
+            note_ids=["N1", "N2"], cohorts=["CN", "CN"], columns=columns, rows=[bytes(37), bytes(38)]
         )
 
 
 def test_validation_rejects_non_binary(combined):
     columns = feature_index(combined)
-    data = np.zeros((1, 37), dtype=np.int8)
-    data[0, 0] = 2
-    with pytest.raises(MatrixError, match="0 or 1"):
-        FeatureMatrix(note_ids=["N1"], cohorts=["CN"], columns=columns, data=data)
+    for cell in (2, 255, ord("1")):
+        row = bytearray(37)
+        row[36] = cell
+        with pytest.raises(MatrixError, match="0 or 1"):
+            FeatureMatrix(
+                note_ids=["N1", "N2"], cohorts=["CN", "CN"], columns=columns, rows=[bytes(37), row]
+            )
 
 
 def test_category_groups_are_ordered(combined):
@@ -88,7 +97,7 @@ def test_csv_roundtrip(tmp_path, combined):
     assert loaded.note_ids == matrix.note_ids
     assert loaded.cohorts == matrix.cohorts
     assert loaded.column_keys == matrix.column_keys
-    assert (loaded.data == matrix.data).all()
+    assert loaded.rows == matrix.rows
 
 
 def test_csv_roundtrip_without_provenance(tmp_path, combined):
@@ -97,7 +106,7 @@ def test_csv_roundtrip_without_provenance(tmp_path, combined):
     matrix.to_csv(path)
     assert not path.read_text(encoding="utf-8").startswith("#")
     loaded = FeatureMatrix.from_csv(path)
-    assert (loaded.data == matrix.data).all()
+    assert loaded.rows == matrix.rows
 
 
 def _via_atomic_file(path, fail):
@@ -161,9 +170,10 @@ _FIELD = st.text(alphabet='#,"\n\r a1', max_size=6)
 )
 def test_matrix_csv_roundtrip_keeps_every_row(rows, categories, provenance, data):
     columns = [FeatureColumn(i, "ns", c, f"p{i}") for i, c in enumerate(categories)]
-    cells = data.draw(arrays(np.int8, (len(rows), len(columns)), elements=st.integers(0, 1)))
+    row = st.lists(st.integers(0, 1), min_size=len(columns), max_size=len(columns)).map(bytes)
+    cells = data.draw(st.lists(row, min_size=len(rows), max_size=len(rows)))
     matrix = FeatureMatrix(
-        note_ids=[r[0] for r in rows], cohorts=[r[1] for r in rows], columns=columns, data=cells
+        note_ids=[r[0] for r in rows], cohorts=[r[1] for r in rows], columns=columns, rows=cells
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.csv"
@@ -172,7 +182,8 @@ def test_matrix_csv_roundtrip_keeps_every_row(rows, categories, provenance, data
     assert loaded.note_ids == matrix.note_ids
     assert loaded.cohorts == matrix.cohorts
     assert loaded.column_keys == matrix.column_keys
-    assert loaded.data.tolist() == matrix.data.tolist()
+    assert loaded.rows == matrix.rows == cells
+    assert loaded.data.tolist() == [list(row) for row in cells]
 
 
 @settings(max_examples=300, deadline=None)
@@ -220,9 +231,7 @@ def test_from_csv_rejects_repeated_column(tmp_path):
 
 def test_empty_matrix_roundtrip(tmp_path):
     columns = [FeatureColumn(0, "ns", "cat", "p")]
-    matrix = FeatureMatrix(
-        note_ids=[], cohorts=[], columns=columns, data=np.zeros((0, 1), dtype=np.int8)
-    )
+    matrix = FeatureMatrix(note_ids=[], cohorts=[], columns=columns, rows=[])
     path = tmp_path / "empty.csv"
     matrix.to_csv(path)
     loaded = FeatureMatrix.from_csv(path)

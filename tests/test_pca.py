@@ -74,7 +74,7 @@ def test_accepts_feature_matrix():
         note_ids=[f"N{i}" for i in range(6)],
         cohorts=["CN"] * 3 + ["ADRD"] * 3,
         columns=[f"list1:A:p{i}" for i in range(4)],
-        data=data,
+        rows=[r.tobytes() for r in data],
     )
     projection = pca_project(matrix)
     assert projection.coordinates.shape == (6, 2)

@@ -211,7 +211,7 @@ def two_cohort_matrix():
         note_ids=[f"N{i}" for i in range(6)],
         cohorts=["CN", "CN", "CN", "ADRD", "ADRD", "ADRD"],
         columns=columns,
-        data=data,
+        rows=[r.tobytes() for r in data],
     )
 
 
@@ -319,7 +319,7 @@ def test_degenerate_cells_become_untestable_strings(combined):
         note_ids=["N1", "N2", "N3"],
         cohorts=["CN", "MCI", "ADRD"],
         columns=columns,
-        data=data,
+        rows=[r.tobytes() for r in data],
     )
     report = analyze_matrix(matrix)
     for category in report:
