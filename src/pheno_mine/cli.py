@@ -651,6 +651,12 @@ def baseline_cmd(
     provenance = _provenance(options, seed, method)
     matrix.to_csv(out_path, provenance)
     click.echo(f"baseline matrix: {out_path} ({matrix.shape[0]} notes x {matrix.shape[1]} concepts)")
+    if method == "dictionary" and matrix.shape[0] and not matrix.shape[1]:
+        click.echo(
+            f"warning: no concept was found in --min-doc-freq {min_doc_freq} notes or more; "
+            "lower --min-doc-freq to keep rarer concepts",
+            err=True,
+        )
 
 
 # ---------------------------------------------------------------------------

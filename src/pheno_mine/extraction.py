@@ -1,8 +1,9 @@
 """Streaming extraction, parsing of constrained model outputs and matrix assembly.
 
 Each (chunk, category) pair yields one completion. Tokens are matched against
-the category's candidate display names and aliases; the per-note profile is
-the union over chunks, so adding a chunk can only add phenotypes.
+the category's candidate display names and aliases; each completion sets cells
+of its note's matrix row, so the row is the union over chunks and adding a
+chunk can only add phenotypes.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ class RejectedToken:
     token: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtractionProfile:
-    """Per-note extraction result: category key -> set of phenotype ids."""
+    """Per-note extraction result: the note's matrix row and its run counts.
+
+    `row` has one byte (0 or 1) per `feature_index` column; each completion sets its cells."""
 
     note_id: str
-    # only categories with a phenotype found: a run holds every note's profile
-    present: dict = field(default_factory=dict)
+    row: bytearray = field(default_factory=bytearray)
     rejects: list = field(default_factory=list)
     # (chunk index, category key) pairs whose completion failed
     incomplete: list = field(default_factory=list)
@@ -118,12 +120,11 @@ def plan_requests(
 
 
 def _merge_result(
-    profile: ExtractionProfile, chunk: Chunk, category: PhenotypeCategory, text: str
+    profile: ExtractionProfile, chunk: Chunk, category: PhenotypeCategory, text: str, column_of
 ):
     unknown: list[str] = []
-    ids = parse_response(text, category, rejects=unknown)
-    if ids:
-        profile.present.setdefault(category.key(), set()).update(ids)
+    for pid in parse_response(text, category, rejects=unknown):
+        profile.row[column_of[category.namespace, category.name, pid]] = 1
     for token in unknown:
         profile.rejects.append(
             RejectedToken(profile.note_id, chunk.chunk_index, category.key(), token)
@@ -154,10 +155,11 @@ def extract_notes(
     """
     profiles: list[ExtractionProfile] = []
     heads: dict = {}
+    column_of = {(c.list_id, c.category, c.phenotype_id): c.index for c in feature_index(plist)}
 
     def jobs():
         for note in notes:
-            profile = ExtractionProfile(note_id=note.note_id)
+            profile = ExtractionProfile(note.note_id, bytearray(len(plist)))
             profiles.append(profile)
             chunks = chunk_text(note.text, budget=chunk_budget, note_id=note.note_id)
             profile.estimated_tokens = sum(c.estimated_tokens for c in chunks)
@@ -182,7 +184,7 @@ def extract_notes(
             profile.incomplete.append((chunk.chunk_index, category.key()))
             continue
         profile.cache_hits += response.cached
-        _merge_result(profile, chunk, category, response.text)
+        _merge_result(profile, chunk, category, response.text, column_of)
     oversized = sum(p.oversized_chunks for p in profiles)
     if oversized:
         logger.warning(
@@ -200,38 +202,27 @@ def build_feature_matrix(
     plist: PhenotypeList,
     manifest: CohortManifest,
 ) -> FeatureMatrix:
-    """Profiles + manifest -> binary matrix with rows in manifest order."""
-    columns = feature_index(plist)
-    column_of = {c.key: c.index for c in columns}
+    """Profiles + manifest -> binary matrix: each manifest note's one row, in manifest order."""
     manifest_ids = {e.note_id for e in manifest.entries}
-    by_note = {}
+    row_of = {}
     for profile in profiles:
         if profile.note_id not in manifest_ids:
             raise MatrixError(
                 f"profile for note {profile.note_id!r} does not appear in the manifest"
             )
-        by_note[profile.note_id] = profile
+        if profile.note_id in row_of:
+            raise MatrixError(f"note {profile.note_id!r} has more than one extraction profile")
+        row_of[profile.note_id] = profile.row
     rows = []
     for entry in manifest.entries:
-        profile = by_note.get(entry.note_id)
-        if profile is None:
+        row = row_of.get(entry.note_id)
+        if row is None:
             raise MatrixError(f"manifest note {entry.note_id!r} has no extraction profile")
-        row = bytearray(len(columns))
         rows.append(row)
-        for category_key, ids in profile.present.items():
-            for pid in ids:
-                key = f"{category_key}:{pid}"
-                col = column_of.get(key)
-                if col is None:
-                    raise MatrixError(
-                        f"profile for note {entry.note_id!r} references {key!r}, "
-                        "which is not a column of the active list"
-                    )
-                row[col] = 1
     return FeatureMatrix(
         note_ids=[e.note_id for e in manifest.entries],
         cohorts=[e.cohort for e in manifest.entries],
-        columns=columns,
+        columns=feature_index(plist),
         rows=rows,
     )
 

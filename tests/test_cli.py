@@ -1149,6 +1149,17 @@ def test_baseline_dictionary_needs_inputs(runner, tmp_path):
     assert "--notes and --terms" in result.stderr
 
 
+def test_baseline_dictionary_warns_when_no_concept_reaches_min_doc_freq(runner, tmp_path):
+    # the default --min-doc-freq of 50 is more than the 30 demo notes
+    result = invoke(runner, *DICTIONARY, "--out-dir", tmp_path / "default")
+    assert "(30 notes x 0 concepts)" in result.output
+    assert result.stderr.count("warning:") == 1
+    assert "--min-doc-freq 50" in result.stderr and "lower --min-doc-freq" in result.stderr
+    result = invoke(runner, *DICTIONARY, "--min-doc-freq", 1, "--out-dir", tmp_path / "one")
+    assert " 0 concepts" not in result.output
+    assert "warning" not in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # config file and defaults export
 

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import tempfile
+import tracemalloc
 from collections import Counter
 from contextlib import closing
 
@@ -25,7 +27,7 @@ from pheno_mine.chunking import chunk_text
 from pheno_mine.cli import data_path, main
 from pheno_mine.errors import TransientBackendError
 from pheno_mine.gateway import WINDOW_PER_WORKER, LlmGateway, MockBackend, MockRuleTable
-from pheno_mine.schema import builtin_list
+from pheno_mine.schema import builtin_list, feature_index
 
 COMBINED = builtin_list("combined")
 CATEGORIES = list(COMBINED.categories)
@@ -33,6 +35,15 @@ CATEGORIES = list(COMBINED.categories)
 NAMES = sorted(
     {name for c in CATEGORIES for p in c.candidates for name in (p.display_name, *p.aliases)}
 )
+
+
+def found(row, plist, category_key):
+    """The phenotype ids whose cells are set in a matrix row, among one category's columns."""
+    return {
+        c.phenotype_id
+        for c in feature_index(plist)
+        if f"{c.list_id}:{c.category}" == category_key and row[c.index]
+    }
 
 
 def test_normalize_token():
@@ -107,8 +118,8 @@ def test_extract_note_unions_chunks(mock_gateway, combined):
     (profile,), failures = extract_notes([note], combined, mock_gateway, chunk_budget=15)
     assert failures == 0
     assert not profile.incomplete
-    assert profile.present.get("list1:Comorbidities") == {"hypertension"}
-    assert profile.present.get("list1:Neuroimaging findings") == {"atrophy"}
+    assert found(profile.row, combined, "list1:Comorbidities") == {"hypertension"}
+    assert found(profile.row, combined, "list1:Neuroimaging findings") == {"atrophy"}
 
 
 class SometimesDownBackend:
@@ -138,8 +149,8 @@ def test_extract_note_marks_incomplete_but_continues(combined, mock_gateway):
     assert failures == 1
     assert profile.incomplete == [(0, "list1:Comorbidities")]
     # the unaffected category still extracted
-    assert profile.present.get("list1:Neuroimaging findings") == {"atrophy"}
-    assert "list1:Comorbidities" not in profile.present
+    assert found(profile.row, combined, "list1:Neuroimaging findings") == {"atrophy"}
+    assert found(profile.row, combined, "list1:Comorbidities") == set()
 
 
 def test_extract_notes_counts_failures(combined, mock_gateway):
@@ -164,11 +175,11 @@ def test_inline_and_threaded_paths_agree(combined, mock_gateway, demo_notes):
             demo_notes, combined, gateway, chunk_budget=40, max_in_flight=2
         )
         assert sum(p.requests for p in profiles) > 2 * WINDOW_PER_WORKER  # the window slides
-        results.append(([vars(p) for p in profiles], failures))
+        results.append(([dataclasses.asdict(p) for p in profiles], failures))
     assert results[0] == results[1]
     profiles, failures = results[0]
     assert failures == sum(len(p["incomplete"]) for p in profiles) > 0
-    assert any(p["present"] for p in profiles)
+    assert any(any(p["row"]) for p in profiles)
 
 
 class PhrasesDownBackend:
@@ -220,17 +231,46 @@ def test_requests_hits_and_failures_add_up(demo_notes, broken, budget):
                         (i, key) for i in range(len(chunks[p.note_id])) for key in failing
                     )
                 assert failed == sum(len(p.incomplete) for p in profiles) == failures
-                runs.append((sum(p.cache_hits for p in profiles), [p.present for p in profiles]))
-        (cold_hits, present), (warm_hits, warm_present) = runs
+                runs.append((sum(p.cache_hits for p in profiles), [p.row for p in profiles]))
+        (cold_hits, rows), (warm_hits, warm_rows) = runs
         expected_cold_hits = repeats * (len(CATEGORIES) - len(failing))
         if never_waits:
             assert cold_hits == expected_cold_hits  # 0 when every chunk is distinct
         else:  # two requests for one prompt in flight at once both miss
             assert cold_hits <= expected_cold_hits
         assert warm_hits == requests - failures  # only the failed requests are sent again
-        assert warm_present == present
-        results.append(present)
+        assert warm_rows == rows
+        results.append(rows)
     assert results[0] == results[1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    data=st.data(),
+    broken=st.sets(st.sampled_from([c.phrase() for c in CATEGORIES])),
+    budget=st.integers(min_value=10, max_value=80),
+)
+def test_row_is_the_or_over_the_notes_chunks(demo_notes, data, broken, budget):
+    picks = data.draw(st.sets(st.sampled_from(range(len(demo_notes))), min_size=1, max_size=6))
+    notes = [demo_notes[i] for i in sorted(picks)]
+    table = MockRuleTable.from_csv(data_path("mock_rules.csv"))
+    backend = PhrasesDownBackend(MockBackend(table, COMBINED), broken, never_waits=True)
+    gateway = LlmGateway(backend, max_attempts=1, sleep=lambda _: None)
+
+    def rows(notes, budget):
+        profiles, _ = extract_notes(notes, COMBINED, gateway, chunk_budget=budget)
+        return [p.row for p in profiles]
+
+    whole = 10**6  # a budget no chunk reaches: each chunk is run alone, as a one-chunk note
+    for note, row in zip(notes, rows(notes, budget)):
+        texts = [c.text for c in chunk_text(note.text, budget)]
+        assert all([c.text for c in chunk_text(t, whole)] == [t] for t in texts)
+        alone = rows([NoteRecord(f"{note.note_id}#{i}", note.patient_id, t)
+                      for i, t in enumerate(texts)], whole)
+        assert row == bytearray(map(max, bytes(len(row)), *alone))
+        for c in CATEGORIES:
+            if c.phrase() in broken:
+                assert found(row, COMBINED, c.key()) == set()
 
 
 def test_extract_chunks_each_note_once(tmp_path, monkeypatch):
@@ -301,6 +341,16 @@ def test_build_feature_matrix_unknown_note_rejected(combined, mock_gateway):
         build_feature_matrix(profiles, combined, manifest)
 
 
+def test_build_feature_matrix_repeated_note_rejected(combined, mock_gateway):
+    notes = [NoteRecord("N1", "P1", "Past medical history includes hypertension.")]
+    (profile,), _ = extract_notes(notes, combined, mock_gateway)
+    assert any(profile.row)
+    # a second, empty profile for the same note must not replace the first
+    repeated = [profile, ExtractionProfile("N1", bytearray(len(combined)))]
+    with pytest.raises(MatrixError, match="'N1' has more than one extraction profile"):
+        build_feature_matrix(repeated, combined, manifest_for(notes, ["CN"]))
+
+
 def test_aggregate_by_patient_ors_rows_and_keeps_severe_cohort(combined, mock_gateway):
     notes = [
         NoteRecord("N1", "P1", "Past medical history includes hypertension managed with lisinopril."),
@@ -337,6 +387,27 @@ def test_reject_log_jsonl(tmp_path, combined):
         "category": "list1:Comorbidities",
         "token": "flying car",
     }
+
+
+def test_profiles_hold_few_bytes_per_note(combined, mock_gateway):
+    def held(count: int) -> int:
+        notes = (
+            NoteRecord(f"N{i}", f"P{i}", f"Seen on day {i}. Past medical history includes hypertension.")
+            for i in range(count)
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            profiles, failures = extract_notes(notes, combined, mock_gateway)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert failures == 0 and all(any(p.row) for p in profiles)
+        return held
+
+    held(20)  # loads whatever a first run loads
+    small, large = 200, 1_000
+    assert (held(large) - held(small)) / (large - small) < 512
 
 
 def test_demo_corpus_against_truth(demo_notes, demo_manifest, demo_truth, combined, mock_gateway):
