@@ -26,8 +26,6 @@ STORE_SETUP = """PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; PRAGMA cach
 CREATE TABLE IF NOT EXISTS reply(key BLOB PRIMARY KEY, text TEXT NOT NULL) WITHOUT ROWID"""
 GET_REPLY = "SELECT text FROM reply WHERE key = ?"
 PUT_REPLY = "INSERT OR REPLACE INTO reply VALUES (?, ?)"
-EARLIER_TABLE = "SELECT 1 FROM sqlite_master WHERE name = 'response'"
-ENTRY_FILE = "[0-9a-f]" * 64 + ".json"  # one file per key, the cache's first format
 LOCK_WAIT_S = 60.0  # how long a statement waits for another connection's lock
 
 
@@ -163,8 +161,8 @@ class ResponseStore:
 
     Each ``put`` is its own transaction; one connection serves every thread, behind
     a lock. The last ``close`` checkpoints the log and removes the -wal and -shm files.
-    Opening it moves in both earlier formats: a ``response(key, doc)`` table of JSON
-    documents, and one JSON file per entry beside the store.
+    It reads only the ``reply`` table: an earlier format's ``response`` table or JSON
+    file per entry stays on disk unread, as no key of today can hit its rows.
     """
 
     def __init__(self, path: str | Path):
@@ -176,9 +174,6 @@ class ResponseStore:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
             db = sqlite3.connect(path, LOCK_WAIT_S, isolation_level=None, check_same_thread=False)
             db.executescript(STORE_SETUP)
-            if db.execute(EARLIER_TABLE).fetchone():
-                _migrate(db)
-            _import_files(db, Path(path).parent)
         except (OSError, sqlite3.Error) as exc:
             if db is not None:
                 db.close()
@@ -201,40 +196,3 @@ class ResponseStore:
         with self._lock:
             self._db.close()
 
-
-def _migrate(db):
-    """Move the earlier ``response(key, doc)`` table into ``reply`` in one transaction; vacuum."""
-    db.execute("BEGIN IMMEDIATE")
-    if not db.execute(EARLIER_TABLE).fetchone():  # another connection moved it first
-        db.execute("COMMIT")
-        return
-    for key, doc in db.execute("SELECT key, doc FROM response"):
-        _move(db, key, doc, key)
-    db.execute("DROP TABLE response")
-    db.execute("COMMIT")
-    db.execute("VACUUM")
-
-
-def _import_files(db, directory: Path):
-    """Move each entry file of the earlier one-file-per-key format into ``reply``."""
-    for path in sorted(directory.glob(ENTRY_FILE)):
-        try:
-            doc = read_text(path, ConfigError)
-        except ConfigError as exc:
-            if isinstance(exc.__cause__, FileNotFoundError):
-                continue  # another process imported it first
-            doc = ""
-        _move(db, path.stem, doc, path)
-        path.unlink(missing_ok=True)
-
-
-def _move(db, key, doc, source):
-    """Store the string ``text`` of JSON ``doc`` under hex ``key``, or log a corrupt entry."""
-    try:
-        text = parse_json(doc)["text"] if re.fullmatch("[0-9a-f]{64}", str(key)) else None
-    except (ValueError, KeyError, TypeError):
-        text = None
-    if isinstance(text, str):
-        db.execute(PUT_REPLY, (bytes.fromhex(key), text))
-    else:
-        logger.warning("ignoring corrupt cache entry %s", source)

@@ -35,6 +35,19 @@ EXIT_FAILURES = 2
 
 DEFAULT_CLUSTER_SETTINGS = ((2, "collapsed_patient"), (3, "three_way"))
 
+# The options that no config_hash covers, by command, and why. Every command records
+# its seed beside the hash, and out_dir only says where the artifacts go.
+UNHASHED = {
+    "cohort": ("seed", "out_dir", "out_manifest"),  # out_manifest: where the manifest goes
+    # in-flight requests and a cache change no reply; --per-patient only adds an artifact
+    "extract": ("seed", "out_dir", "max_in_flight", "cache_dir", "per_patient"),
+    "stats": ("seed", "out_dir"),
+    "cluster": ("seed", "out_dir"),
+    "pca": ("seed", "out_dir"),
+    "baseline": ("seed", "out_dir"),
+    "report": ("seed", "out_dir"),
+}
+
 _DATA_FILES = (
     "list1.json",
     "list2.json",
@@ -162,7 +175,17 @@ def _config_defaults(config_path, group, command) -> dict:
     return values
 
 
-def _provenance(options: dict, seed: int, list_id: str = "", mode: str = "") -> dict:
+def _provenance(seed: int, list_id: str = "", mode: str = "", ignored=()) -> dict:
+    """The running command's provenance. ``config_hash`` hashes its name and each option
+    value as given, but None, the command's ``UNHASHED`` options and those it ``ignored``."""
+    ctx = click.get_current_context()
+    command = ctx.command.name
+    skip = {*UNHASHED[command], *ignored}
+    options = {"command": command}
+    for param in ctx.command.params:
+        key, value = _config_key(param), ctx.params[param.name]
+        if value is not None and key not in skip:
+            options[key] = value
     blob = json.dumps(options, sort_keys=True, default=str)
     return {
         "config_hash": hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12],
@@ -177,11 +200,10 @@ def _list_ids(items) -> str:
     return ",".join(sorted({item.list_id for item in items}))
 
 
-def _load_matrix(matrix_path, seed: int, **options) -> tuple:
-    """The matrix at ``matrix_path`` and the provenance of ``options`` run on it."""
+def _load_matrix(matrix_path, seed: int) -> tuple:
+    """The matrix at ``matrix_path`` and the provenance of the command run on it."""
     matrix = FeatureMatrix.from_csv(matrix_path)
-    options["matrix"] = str(matrix_path)
-    return matrix, _provenance(options, seed, _list_ids(matrix.columns))
+    return matrix, _provenance(seed, _list_ids(matrix.columns))
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -235,16 +257,7 @@ def cohort_cmd(notes_path, diagnoses_path, out_manifest, sample_per_cohort, draw
     out = artifact_dir(out_dir)
     manifest_path = Path(out_manifest) if out_manifest else out / "manifest.csv"
     manifest = _run_manifest(notes_path, None, diagnoses_path, sample_per_cohort, draws, seed)
-    provenance = _provenance(
-        {
-            "command": "cohort",
-            "notes": str(notes_path),
-            "diagnoses": str(diagnoses_path),
-            "sample_per_cohort": sample_per_cohort,
-            "draws": draws,
-        },
-        seed,
-    )
+    provenance = _provenance(seed, ignored=() if sample_per_cohort else ("draws",))
     cohort_mod.write_manifest(manifest, manifest_path, provenance)
     counts = manifest.counts
     click.echo(
@@ -335,18 +348,13 @@ def extract_cmd(
         manifest = _run_manifest(
             notes_path, manifest_path, diagnoses_path, sample_per_cohort, draws, seed
         )
-        options = {
-            "command": "extract",
-            "list": plist.list_id,
-            "mode": mode,
-            "backend": backend,
-            "model": model,
-            "temperature": temperature,
-            "chunk_budget": chunk_budget,
-            "sample_per_cohort": sample_per_cohort,
-            "draws": draws,
+        unused = {
+            "draws": not sample_per_cohort,
+            "diagnoses": manifest_path,
+            "mock_rules": backend == "http",
+            "base_url": backend == "mock",
         }
-        provenance = _provenance(options, seed, plist.list_id, mode)
+        provenance = _provenance(seed, plist.list_id, mode, [k for k, v in unused.items() if v])
 
         started = time.perf_counter()
         row_of = {e.note_id: row for row, e in enumerate(manifest.entries)}
@@ -499,28 +507,20 @@ def stats_cmd(matrix_path, fixture_paths, builtin_fixtures, granularity, yates, 
     from . import stats
 
     out = artifact_dir(out_dir)
-    paths = [Path(p) for p in fixture_paths]
+    if bool(matrix_path) + bool(fixture_paths) + builtin_fixtures != 1:
+        raise ConfigError("stats needs exactly one of --matrix, --fixture or --builtin-fixtures")
     if builtin_fixtures:
-        paths = [data_path("counts_list1.csv"), data_path("counts_list2.csv")]
-    if bool(paths) == bool(matrix_path):
-        raise ConfigError("stats needs exactly one of --matrix or --fixture/--builtin-fixtures")
-    if paths:
+        fixture_paths = [data_path("counts_list1.csv"), data_path("counts_list2.csv")]
+    if fixture_paths:
         counts = []
-        for p in paths:
+        for p in fixture_paths:
             counts.extend(stats.load_counts_fixture(p))
         report = stats.analyze_fixture(counts, yates=yates)
-        source = ",".join(str(p) for p in paths)
-        list_id = _list_ids(counts)
+        provenance = _provenance(seed, _list_ids(counts), ignored=("granularity",))
     else:
         matrix = FeatureMatrix.from_csv(matrix_path)
         report = stats.analyze_matrix(matrix, yates=yates, granularity=granularity)
-        source = str(matrix_path)
-        list_id = _list_ids(matrix.columns)
-    provenance = _provenance(
-        {"command": "stats", "source": source, "granularity": granularity, "yates": yates},
-        seed,
-        list_id,
-    )
+        provenance = _provenance(seed, _list_ids(matrix.columns))
     click.echo(_stats_artifacts(report, out, provenance).rstrip())
 
 
@@ -557,10 +557,9 @@ def cluster_cmd(matrix_path, settings_raw, restarts, max_iter, tol, seed, out_di
     """K-means over the feature matrix scored against cohort labels."""
     out = artifact_dir(out_dir)
     pairs = [_parse_setting(raw) for raw in settings_raw] or DEFAULT_CLUSTER_SETTINGS
-    settings = [f"{k}:{s}" for k, s in pairs]
-    kmeans = {"restarts": restarts, "max_iter": max_iter, "tol": tol}
-    matrix, provenance = _load_matrix(matrix_path, seed, command="cluster", settings=settings, **kmeans)
-    text = _cluster_artifacts(matrix, pairs, out, provenance, seed=seed, **kmeans)
+    matrix, provenance = _load_matrix(matrix_path, seed)
+    kmeans = {"seed": seed, "restarts": restarts, "max_iter": max_iter, "tol": tol}
+    text = _cluster_artifacts(matrix, pairs, out, provenance, **kmeans)
     click.echo(text.rstrip())
 
 
@@ -576,7 +575,7 @@ def cluster_cmd(matrix_path, settings_raw, restarts, max_iter, tol, seed, out_di
 def pca_cmd(matrix_path, seed, out_dir):
     """Project the matrix onto two principal components and plot it."""
     out = artifact_dir(out_dir)
-    matrix, provenance = _load_matrix(matrix_path, seed, command="pca")
+    matrix, provenance = _load_matrix(matrix_path, seed)
     r1, r2 = _pca_artifacts(matrix, out, provenance).explained_variance_ratio
     click.echo(
         f"pca: {out / 'pca_scatter.svg'} (PC1 {r1 * 100:.1f}%, PC2 {r2 * 100:.1f}% of variance)"
@@ -627,28 +626,16 @@ def baseline_cmd(
             notes, dictionary, min_doc_freq=min_doc_freq, similarity_threshold=similarity_threshold
         )
         out_path = out / "dictionary_matrix.csv"
-        options = {
-            "command": "baseline",
-            "method": method,
-            "terms": str(terms_path),
-            "min_term_length": min_term_length,
-            "min_doc_freq": min_doc_freq,
-            "similarity_threshold": similarity_threshold,
-        }
+        ignored = ("annotations", "min_score")
     else:
         if not annotations_path:
             raise ConfigError("ner baseline needs --annotations")
         matrix = baselines_mod.ingest_ner_annotations(annotations_path, min_score=min_score)
         out_path = out / "ner_matrix.csv"
-        options = {
-            "command": "baseline",
-            "method": method,
-            "annotations": str(annotations_path),
-            "min_score": min_score,
-        }
+        ignored = ("notes", "terms", "min_term_length", "min_doc_freq", "similarity_threshold")
     if cohort_of:
         matrix = baselines_mod.attach_cohorts(matrix, cohort_of)
-    provenance = _provenance(options, seed, method)
+    provenance = _provenance(seed, method, ignored=ignored)
     matrix.to_csv(out_path, provenance)
     click.echo(f"baseline matrix: {out_path} ({matrix.shape[0]} notes x {matrix.shape[1]} concepts)")
     if method == "dictionary" and matrix.shape[0] and not matrix.shape[1]:
@@ -675,9 +662,7 @@ def report_cmd(matrix_path, yates, restarts, seed, out_dir):
     from . import stats
 
     out = artifact_dir(out_dir)
-    matrix, provenance = _load_matrix(
-        matrix_path, seed, command="report", yates=yates, restarts=restarts
-    )
+    matrix, provenance = _load_matrix(matrix_path, seed)
     stats_text = _stats_artifacts(stats.analyze_matrix(matrix, yates=yates), out, provenance)
     cluster_text = _cluster_artifacts(
         matrix, DEFAULT_CLUSTER_SETTINGS, out, provenance, seed=seed, restarts=restarts

@@ -48,9 +48,9 @@ DEFAULT_BACKOFF_BASE = 1.0
 # result made a 2-in-flight loopback HTTP run measurably slower.
 WINDOW_PER_WORKER = 64
 # Entries kept by each cache-key memo: hashed prefixes, one per (backend,
-# model, temperature, head), and escaped prompt remainders. Requests come chunk
-# by chunk, so a chunk's remainder serves its consecutive per-category
-# requests, and a few dozen heads cover a list.
+# max_tokens, model, temperature, head), and escaped prompt remainders.
+# Requests come chunk by chunk, so a chunk's remainder serves its consecutive
+# per-category requests, and a few dozen heads cover a list.
 KEY_MEMO_SIZE = 64
 
 
@@ -145,7 +145,6 @@ class MockBackend:
     order; no hits emits "none".
     """
 
-    backend_id = "mock"
     # Pure computation: a worker thread would only contend for the interpreter
     # lock, so the gateway completes mock requests inline.
     never_waits = True
@@ -153,6 +152,10 @@ class MockBackend:
     def __init__(self, table: MockRuleTable, plist: PhenotypeList):
         table.validate_against(plist)
         self.table = table
+        # The rules decide every reply, so the cache key names them; never hash(),
+        # which is salted per process.
+        rules = json.dumps([[r.category, r.trigger, r.phenotype] for r in table.rules])
+        self.backend_id = "mock:" + hashlib.sha256(rules.encode("utf-8")).hexdigest()[:12]
         # Map prompt phrase -> category names carrying that phrase. Exact
         # phrase equality keeps look-alike categories ("Memory" vs "Memory
         # Indicators") from cross-firing.
@@ -269,8 +272,9 @@ class HttpChatBackend:
 class ResponseCache:
     """Content-addressed completion responses in ``<directory>/responses.sqlite``.
 
-    The key hashes (backend_id, model, temperature, prompt); a row holds its
-    digest and the reply text, which a hit replays byte-identically.
+    The key hashes every request field that can change a reply: backend_id,
+    max_tokens, model, prompt and temperature. A row holds its digest and the
+    reply text, which a hit replays byte-identically.
     """
 
     def __init__(self, directory: str | Path):
@@ -278,17 +282,17 @@ class ResponseCache:
 
     @staticmethod
     def key(backend_id: str, request: CompletionRequest) -> str:
-        """sha256 of the sorted-key JSON of backend, model, prompt and temperature.
+        """sha256 of the sorted-key JSON of backend, max_tokens, model, prompt and temperature.
 
         The JSON is fed to the hash in pieces. JSON-escaping a concatenation
         gives the concatenation of the escapes, and so does UTF-8 encoding.
         So the blob up to the end of ``request.head`` is hashed once per
-        backend, model, temperature and head, and the rest of the prompt is
-        escaped once for all the requests that share it.
+        backend, max_tokens, model, temperature and head, and the rest of the
+        prompt is escaped once for all the requests that share it.
         """
-        temperature = request.temperature
+        t = request.temperature
         prefix, closing = _key_prefix(
-            backend_id, request.model, temperature, repr(temperature), request.head
+            backend_id, request.max_output_tokens, request.model, t, repr(t), request.head
         )
         digest = prefix.copy()
         digest.update(_escape(request.prompt[len(request.head):]))
@@ -310,7 +314,9 @@ _json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
 @functools.lru_cache(maxsize=KEY_MEMO_SIZE)
-def _key_prefix(backend_id: str, model: str, temperature, spelling: str, head: str) -> tuple:
+def _key_prefix(
+    backend_id: str, max_tokens: int, model: str, temperature, spelling: str, head: str
+) -> tuple:
     """The key's hash fed up to the end of ``head``, and the UTF-8 bytes that close its blob.
 
     ``spelling`` is ``repr(temperature)``: it keeps 0, 0.0 and -0.0 apart,
@@ -318,7 +324,10 @@ def _key_prefix(backend_id: str, model: str, temperature, spelling: str, head: s
     the hash before feeding it.
     """
     backend, model = _json_string(backend_id), _json_string(model)
-    opening = f'{{"backend": {backend}, "model": {model}, "prompt": "'
+    opening = (
+        f'{{"backend": {backend}, "max_tokens": {json.dumps(max_tokens)}, '
+        f'"model": {model}, "prompt": "'
+    )
     closing = f'", "temperature": {json.dumps(temperature)}}}'
     prefix = hashlib.sha256(opening.encode("utf-8") + _escape(head))
     return prefix, closing.encode("utf-8")

@@ -13,23 +13,10 @@ from pheno_mine.gateway import LlmGateway, MockBackend, MockRuleTable
 from pheno_mine.schema import builtin_list
 
 
-# The store's setup before it held bare replies: a hex key and a JSON document per row.
-EARLIER_STORE_SETUP = """PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; PRAGMA cache_size=-256;
-CREATE TABLE IF NOT EXISTS response(key TEXT PRIMARY KEY, doc TEXT NOT NULL) WITHOUT ROWID"""
-
-
 def rows(cache_dir) -> dict:
     """Every row of the response store in ``cache_dir``: hex key to reply text."""
     with closing(sqlite3.connect(Path(cache_dir) / "responses.sqlite")) as db:
         return {key.hex(): text for key, text in db.execute("SELECT key, text FROM reply")}
-
-
-def earlier_store(cache_dir, entries):
-    """Write ``(key, doc)`` entries to a new store of the earlier layout in ``cache_dir``."""
-    cache_dir.mkdir()
-    with closing(sqlite3.connect(cache_dir / "responses.sqlite", isolation_level=None)) as db:
-        db.executescript(EARLIER_STORE_SETUP)
-        db.executemany("INSERT INTO response VALUES (?, ?)", entries)
 
 
 @pytest.fixture(scope="session")

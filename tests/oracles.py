@@ -325,10 +325,11 @@ def note_concepts_jaccard_oracle(tokens: list, terms: dict, max_n: int, threshol
 
 
 def cache_key_oracle(backend_id: str, request) -> str:
-    """sha256 of the sorted-key JSON of backend, model, prompt and temperature."""
+    """sha256 of the sorted-key JSON of backend, max_tokens, model, prompt and temperature."""
     blob = json.dumps(
         {
             "backend": backend_id,
+            "max_tokens": request.max_output_tokens,
             "model": request.model,
             "temperature": request.temperature,
             "prompt": request.prompt,

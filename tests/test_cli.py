@@ -4,6 +4,8 @@ import json
 import logging
 import os
 import random
+import re
+import shutil
 import socket
 import subprocess
 import sys
@@ -18,10 +20,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pheno_mine
-from conftest import earlier_store, rows
 from pheno_mine.artifacts import ResponseStore
 from pheno_mine import cohort as cohort_mod
-from pheno_mine.cli import data_path, main
+from pheno_mine.cli import UNHASHED, _config_key, data_path, main
 from pheno_mine.gateway import MockBackend
 from pheno_mine.schema import builtin_list, to_document
 
@@ -69,6 +70,20 @@ def test_cohort_sampling_caps_each_cohort(runner, tmp_path):
         if line and not line.startswith("#") and not line.startswith("note_id")
     ]
     assert len(rows) == 12
+
+
+def test_draws_is_hashed_only_when_cohorts_are_sampled(runner, tmp_path):
+    cohort = ["cohort", "--notes", NOTES, "--diagnoses", DIAGNOSES]
+    manifests = {}
+    for sample in ([], ["--sample-per-cohort", 4]):
+        for draws in (1, 3):
+            out = tmp_path / f"{len(sample)}-{draws}"
+            invoke(runner, *cohort, *sample, "--draws", draws, "--out-dir", out)
+            manifests[len(sample), draws] = (out / "manifest.csv").read_bytes()
+    # without sampling the draws are never taken: one manifest, hash included
+    assert manifests[0, 1] == manifests[0, 3]
+    provenance_lines = [manifests[2, d].split(b"\n")[0] for d in (1, 3)]
+    assert provenance_lines[0] != provenance_lines[1]
 
 
 def test_missing_notes_file_is_a_usage_error(runner, tmp_path):
@@ -277,10 +292,12 @@ def test_artifact_rows_follow_a_permuted_manifest(runner, tmp_path, monkeypatch)
         ("feature_matrix.csv", lambda line: line.split(",")[0]),
         ("reject_log.jsonl", lambda line: json.loads(line)["note_id"]),
     ]:
-        lines = (first / name).read_text().splitlines(keepends=True)
-        head = 2 if name.endswith(".csv") else 0
-        body = sorted(lines[head:], key=lambda line: order.index(note_of(line)))
-        assert (tmp_path / "permuted" / name).read_text() == "".join(lines[:head] + body)
+        # a CSV's provenance line names its own cohort source; its header and rows follow
+        skip = 1 if name.endswith(".csv") else 0
+        lines = (first / name).read_text().splitlines(keepends=True)[skip:]
+        body = sorted(lines[skip:], key=lambda line: order.index(note_of(line)))
+        permuted = (tmp_path / "permuted" / name).read_text().splitlines(keepends=True)[skip:]
+        assert "".join(permuted) == "".join(lines[:skip] + body)
     assert len((first / "reject_log.jsonl").read_text().splitlines()) > len(order)
 
 
@@ -885,48 +902,6 @@ def test_analytics_commands_load_numpy(extracted, tmp_path):
     assert loaded_after(args, ANALYTICS) == ["numpy", "pheno_mine.figures", "pheno_mine.pca"]
 
 
-def test_extract_imports_a_file_per_entry_cache(runner, tmp_path, caplog):
-    args = ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--seed", 0]
-    invoke(runner, *args, "--cache-dir", tmp_path / "cache", "--out-dir", tmp_path / "cold")
-    replies = rows(tmp_path / "cache")
-    # The same responses as one <key>.json file each, the earliest format.
-    legacy = tmp_path / "legacy"
-    legacy.mkdir()
-    for key, text in replies.items():
-        (legacy / f"{key}.json").write_text(json.dumps({"text": text}), encoding="utf-8")
-    (legacy / f"{'f' * 64}.json").write_text("{ not json", encoding="utf-8")
-    (legacy / "notes.json").write_text("{}", encoding="utf-8")  # not an entry
-    with caplog.at_level(logging.WARNING, logger="pheno_mine.gateway"):
-        invoke(runner, *args, "--cache-dir", legacy, "--out-dir", tmp_path / "warm")
-
-    report = json.loads((tmp_path / "warm" / "run_report.json").read_text())
-    assert report["cache_hit_rate"] == 1.0
-    for name in ("manifest.csv", "feature_matrix.csv", "reject_log.jsonl"):
-        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
-    assert sorted(p.name for p in legacy.iterdir()) == ["notes.json", "responses.sqlite"]
-    assert rows(legacy) == replies
-    assert [r.getMessage() for r in caplog.records] == [
-        f"ignoring corrupt cache entry {legacy / ('f' * 64 + '.json')}"
-    ]
-
-
-def test_extract_migrates_a_store_of_json_documents(runner, tmp_path):
-    args = ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--seed", 0]
-    invoke(runner, *args, "--cache-dir", tmp_path / "fresh", "--out-dir", tmp_path / "cold")
-    replies = rows(tmp_path / "fresh")
-    # The same replies in the earlier layout: a hex key and a JSON document.
-    cache = tmp_path / "cache"
-    earlier_store(cache, [(key, json.dumps({"text": text})) for key, text in replies.items()])
-    invoke(runner, *args, "--cache-dir", cache, "--out-dir", tmp_path / "warm")
-
-    report = json.loads((tmp_path / "warm" / "run_report.json").read_text())
-    assert report["cache_hit_rate"] == 1.0
-    for name in ("manifest.csv", "feature_matrix.csv", "reject_log.jsonl"):
-        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
-    assert rows(cache) == replies
-    assert [p.name for p in cache.iterdir()] == ["responses.sqlite"]
-
-
 # ---------------------------------------------------------------------------
 # stats / cluster / pca / report
 
@@ -993,6 +968,32 @@ def test_stats_requires_exactly_one_source(runner, extracted, tmp_path):
     assert result.exit_code == 1
 
 
+def test_stats_fixture_and_builtin_fixtures_is_one_error_line(runner, tmp_path):
+    out = tmp_path / "out"
+    fixture = str(data_path("counts_list1.csv"))
+    result = runner.invoke(
+        main, ["stats", "--fixture", fixture, "--builtin-fixtures", "--out-dir", str(out)]
+    )
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: stats needs exactly one of --matrix, --fixture or --builtin-fixtures\n"
+    )
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_builtin_fixtures_hash_no_installation_path(runner, tmp_path, monkeypatch):
+    invoke(runner, "stats", "--builtin-fixtures", "--out-dir", tmp_path / "here")
+    # the same fixtures installed in another directory
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    for name in ("counts_list1.csv", "counts_list2.csv"):
+        shutil.copy(data_path(name), elsewhere / name)
+    monkeypatch.setattr("pheno_mine.cli.data_path", lambda name: elsewhere / name)
+    invoke(runner, "stats", "--builtin-fixtures", "--out-dir", tmp_path / "there")
+    for name in ("stats_report.csv", "stats_report.txt"):
+        assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "there" / name).read_bytes()
+
+
 @pytest.mark.parametrize("command", ["stats", "report"])
 def test_matrix_without_phenotype_columns_is_one_error_line(runner, extracted, tmp_path, command):
     provenance = Path(extracted).read_text(encoding="utf-8").splitlines()[0]
@@ -1013,28 +1014,6 @@ def test_cluster_default_settings(runner, extracted, tmp_path):
     assert [run["setting"]["k"] for run in document["runs"]] == [2, 3]
     assert document["provenance"]["seed"] == 0
     assert (tmp_path / "clustering_report.txt").exists()
-
-
-def clustering_config_hash(runner, out, *args) -> str:
-    invoke(runner, *args, "--out-dir", out)
-    return json.loads((out / "clustering_report.json").read_text())["provenance"]["config_hash"]
-
-
-@pytest.mark.parametrize(
-    "command, flags",
-    [
-        ("cluster", ["--max-iter", "5"]),
-        ("cluster", ["--tol", "0.5"]),
-        ("cluster", ["--restarts", "2"]),
-        ("report", ["--restarts", "2"]),
-    ],
-)
-def test_each_kmeans_option_is_in_the_config_hash(runner, extracted, tmp_path, command, flags):
-    args = [command, "--matrix", extracted]
-    default = clustering_config_hash(runner, tmp_path / "default", *args)
-    changed = clustering_config_hash(runner, tmp_path / "changed", *args, *flags)
-    assert changed != default
-    assert clustering_config_hash(runner, tmp_path / "again", *args, *flags) == changed
 
 
 def test_cluster_rejects_malformed_setting(runner, extracted, tmp_path):
@@ -1158,6 +1137,228 @@ def test_baseline_dictionary_warns_when_no_concept_reaches_min_doc_freq(runner, 
     result = invoke(runner, *DICTIONARY, "--min-doc-freq", 1, "--out-dir", tmp_path / "one")
     assert " 0 concepts" not in result.output
     assert "warning" not in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# config_hash: every option of every command is classified
+
+COHORT = ["cohort", "--notes", NOTES, "--diagnoses", DIAGNOSES]
+HTTP = [*EXTRACT, "--backend", "http", "--base-url", "URL"]
+WITH_MANIFEST = ["extract", "--notes", NOTES, "--manifest", "MANIFEST"]
+FIXTURE1, FIXTURE2 = str(data_path("counts_list1.csv")), str(data_path("counts_list2.csv"))
+BUILTIN = ["stats", "--builtin-fixtures"]
+ELSEWHERE = ["--out-dir", "RUN/elsewhere"]
+ON_MATRIX = {name: [name, "--matrix", "MATRIX"] for name in ("stats", "cluster", "pca", "report")}
+
+
+def copy_of(path) -> str:
+    """A placeholder for a copy of ``path`` at another path: the same content, spelt otherwise."""
+    return f"COPY:{path}"
+
+
+def change(kind, base, *flags) -> tuple:
+    """A run of ``base`` and one of ``base`` with ``flags`` added, whose option is of ``kind``."""
+    return kind, base, [*base, *flags]
+
+
+# (command, option) -> runs whose one difference is that option. A "hashed" option changes
+# config_hash; an "unhashed" or "ignored" one leaves every artifact both runs write as it
+# was; a "seed" is recorded beside config_hash and leaves the hash as it was.
+OPTION_RUNS = {
+    ("cohort", "notes"): [change("hashed", COHORT, "--notes", copy_of(NOTES))],
+    ("cohort", "diagnoses"): [change("hashed", COHORT, "--diagnoses", copy_of(DIAGNOSES))],
+    ("cohort", "out_manifest"): [change("unhashed", COHORT, "--out-manifest", "RUN/manifest.csv")],
+    ("cohort", "sample_per_cohort"): [change("hashed", COHORT, "--sample-per-cohort", 4)],
+    ("cohort", "draws"): [
+        change("ignored", COHORT, "--draws", 3),
+        change("hashed", [*COHORT, "--sample-per-cohort", 4], "--draws", 3),
+    ],
+    ("cohort", "seed"): [change("seed", COHORT, "--seed", 7)],
+    ("cohort", "out_dir"): [change("unhashed", COHORT, *ELSEWHERE)],
+    ("extract", "notes"): [change("hashed", EXTRACT, "--notes", copy_of(NOTES))],
+    ("extract", "manifest"): [change("hashed", WITH_MANIFEST, "--manifest", copy_of("MANIFEST"))],
+    ("extract", "diagnoses"): [
+        change("hashed", EXTRACT, "--diagnoses", copy_of(DIAGNOSES)),
+        change("ignored", WITH_MANIFEST, "--diagnoses", DIAGNOSES),
+    ],
+    ("extract", "list"): [change("hashed", EXTRACT, "--list", "list1")],
+    ("extract", "mode"): [change("hashed", EXTRACT, "--mode", "few_shot")],
+    ("extract", "backend"): [change("hashed", [*HTTP, "--backend", "mock"], "--backend", "http")],
+    ("extract", "mock_rules"): [
+        change("hashed", EXTRACT, "--mock-rules", data_path("mock_rules.csv")),
+        change("ignored", HTTP, "--mock-rules", data_path("mock_rules.csv")),
+    ],
+    ("extract", "base_url"): [
+        change("hashed", HTTP, "--base-url", "URL/"),
+        change("ignored", EXTRACT, "--base-url", "URL"),
+    ],
+    ("extract", "model"): [change("hashed", EXTRACT, "--model", "another-model")],
+    ("extract", "temperature"): [change("hashed", EXTRACT, "--temperature", 0.5)],
+    ("extract", "max_output_tokens"): [change("hashed", EXTRACT, "--max-output-tokens", 32)],
+    ("extract", "max_in_flight"): [change("unhashed", HTTP, "--max-in-flight", 1)],
+    ("extract", "cache_dir"): [change("unhashed", EXTRACT, "--cache-dir", "RUN/cache")],
+    ("extract", "chunk_budget"): [change("hashed", EXTRACT, "--chunk-budget", 40)],
+    ("extract", "sample_per_cohort"): [change("hashed", EXTRACT, "--sample-per-cohort", 4)],
+    ("extract", "draws"): [
+        change("ignored", EXTRACT, "--draws", 3),
+        change("hashed", [*EXTRACT, "--sample-per-cohort", 4], "--draws", 3),
+    ],
+    ("extract", "per_patient"): [change("unhashed", EXTRACT, "--per-patient")],
+    ("extract", "seed"): [change("seed", EXTRACT, "--seed", 7)],
+    ("extract", "out_dir"): [change("unhashed", EXTRACT, *ELSEWHERE)],
+    ("stats", "matrix"): [change("hashed", ON_MATRIX["stats"], "--matrix", copy_of("MATRIX"))],
+    ("stats", "fixture"): [change("hashed", ["stats", "--fixture", FIXTURE1], "--fixture", FIXTURE2)],
+    ("stats", "builtin_fixtures"): [
+        ("hashed", ["stats", "--fixture", FIXTURE1, "--fixture", FIXTURE2], BUILTIN)
+    ],
+    ("stats", "granularity"): [
+        change("hashed", ON_MATRIX["stats"], "--granularity", "phenotype"),
+        change("ignored", BUILTIN, "--granularity", "phenotype"),
+    ],
+    ("stats", "yates"): [change("hashed", BUILTIN, "--yates", "off")],
+    ("stats", "seed"): [change("seed", BUILTIN, "--seed", 7)],
+    ("stats", "out_dir"): [change("unhashed", BUILTIN, *ELSEWHERE)],
+    ("cluster", "matrix"): [change("hashed", ON_MATRIX["cluster"], "--matrix", copy_of("MATRIX"))],
+    ("cluster", "setting"): [change("hashed", ON_MATRIX["cluster"], "--setting", "2:three_way")],
+    ("cluster", "restarts"): [change("hashed", ON_MATRIX["cluster"], "--restarts", 2)],
+    ("cluster", "max_iter"): [change("hashed", ON_MATRIX["cluster"], "--max-iter", 5)],
+    ("cluster", "tol"): [change("hashed", ON_MATRIX["cluster"], "--tol", 0.5)],
+    ("cluster", "seed"): [change("seed", ON_MATRIX["cluster"], "--seed", 7)],
+    ("cluster", "out_dir"): [change("unhashed", ON_MATRIX["cluster"], *ELSEWHERE)],
+    ("pca", "matrix"): [change("hashed", ON_MATRIX["pca"], "--matrix", copy_of("MATRIX"))],
+    ("pca", "seed"): [change("seed", ON_MATRIX["pca"], "--seed", 7)],
+    ("pca", "out_dir"): [change("unhashed", ON_MATRIX["pca"], *ELSEWHERE)],
+    ("baseline", "method"): [
+        change("hashed", [*DICTIONARY, "--annotations", ANNOTATIONS], "--method", "ner")
+    ],
+    ("baseline", "notes"): [
+        change("hashed", DICTIONARY, "--notes", copy_of(NOTES)),
+        change("ignored", NER, "--notes", NOTES),
+    ],
+    ("baseline", "terms"): [
+        change("hashed", DICTIONARY, "--terms", copy_of(TERMS)),
+        change("ignored", NER, "--terms", TERMS),
+    ],
+    ("baseline", "annotations"): [
+        change("hashed", NER, "--annotations", copy_of(ANNOTATIONS)),
+        change("ignored", DICTIONARY, "--annotations", ANNOTATIONS),
+    ],
+    ("baseline", "manifest"): [
+        change("hashed", DICTIONARY, "--manifest", "MANIFEST"),
+        change("hashed", NER, "--manifest", "MANIFEST"),
+    ],
+    ("baseline", "min_term_length"): [
+        change("hashed", DICTIONARY, "--min-term-length", 6),
+        change("ignored", NER, "--min-term-length", 6),
+    ],
+    ("baseline", "min_doc_freq"): [
+        change("hashed", DICTIONARY, "--min-doc-freq", 2),
+        change("ignored", NER, "--min-doc-freq", 2),
+    ],
+    ("baseline", "similarity_threshold"): [
+        change("hashed", DICTIONARY, "--similarity-threshold", 0.8),
+        change("ignored", NER, "--similarity-threshold", 0.8),
+    ],
+    ("baseline", "min_score"): [
+        change("hashed", NER, "--min-score", 0.5),
+        change("ignored", DICTIONARY, "--min-score", 0.5),
+    ],
+    ("baseline", "seed"): [change("seed", NER, "--seed", 7)],
+    ("baseline", "out_dir"): [change("unhashed", NER, *ELSEWHERE)],
+    ("report", "matrix"): [change("hashed", ON_MATRIX["report"], "--matrix", copy_of("MATRIX"))],
+    ("report", "yates"): [change("hashed", ON_MATRIX["report"], "--yates", "off")],
+    ("report", "restarts"): [change("hashed", ON_MATRIX["report"], "--restarts", 2)],
+    ("report", "seed"): [change("seed", ON_MATRIX["report"], "--seed", 7)],
+    ("report", "out_dir"): [change("unhashed", ON_MATRIX["report"], *ELSEWHERE)],
+    ("export-defaults", "out_dir"): [change("unhashed", ["export-defaults"], *ELSEWHERE)],
+}
+
+
+class OptionRuns:
+    """Runs commands once per distinct argument list, each in its own directory."""
+
+    def __init__(self, folder, places: dict):
+        self.folder, self.places, self.done = folder, places, {}
+
+    def arg(self, value, run):
+        text = str(value)
+        if text.startswith("COPY:"):
+            source = Path(self.places.get(text[5:], text[5:]))
+            copy = self.folder / "copies" / source.name
+            if not copy.exists():
+                copy.parent.mkdir(exist_ok=True)
+                shutil.copy(source, copy)
+            return str(copy)
+        if text.startswith("RUN/"):
+            return str(run / text[4:])
+        return self.places.get(text) or text.replace("URL", self.places["URL"])
+
+    def __call__(self, args) -> Path:
+        """The directory of a run of ``args``, its artifacts under ``out`` unless it moves them."""
+        key = tuple(map(str, args))
+        if key not in self.done:
+            run = self.folder / f"run{len(self.done)}"
+            command, *rest = [self.arg(a, run) for a in args]
+            invoke(CliRunner(), command, "--out-dir", run / "out", *rest)
+            self.done[key] = run
+        return self.done[key]
+
+
+@pytest.fixture(scope="module")
+def option_runs(extracted, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("option_runs")
+    invoke(CliRunner(), *COHORT, "--out-dir", folder)
+    server, url = _serve(_StaticHandler)
+    try:
+        yield OptionRuns(
+            folder, {"MATRIX": str(extracted), "MANIFEST": str(folder / "manifest.csv"), "URL": url}
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def written(run: Path) -> dict:
+    """The bytes of every file a run wrote, by name; run reports without ``elapsed_seconds``."""
+    files = {}
+    for path in run.rglob("*"):
+        if path.is_file():
+            files[path.name] = path.read_bytes()
+            if path.name == "run_report.json":
+                report = json.loads(files[path.name])
+                del report["elapsed_seconds"]
+                files[path.name] = json.dumps(report, sort_keys=True).encode()
+    return files
+
+
+def config_hashes(run: Path) -> set:
+    """The config_hash values in a run's files: CSV and JSON provenance, and the SVG's."""
+    return {h for data in written(run).values() for h in re.findall(rb"config_hash\W+(\w{12})", data)}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(name, _config_key(param)) for name, cmd in main.commands.items() for param in cmd.params],
+)
+def test_every_option_is_classified(option_runs, command, option):
+    options = {_config_key(param) for param in main.commands[command].params}
+    assert set(UNHASHED.get(command, ())) <= options, "UNHASHED names no option of its command"
+    runs = OPTION_RUNS.get((command, option))
+    assert runs, f"{command} --{option.replace('_', '-')} is not classified here"
+    for kind, first, second in runs:
+        if command in UNHASHED:
+            assert (option in UNHASHED[command]) == (kind in ("unhashed", "seed")), (kind, first)
+        a, b = option_runs(first), option_runs(second)
+        if kind == "hashed":
+            assert len(config_hashes(a)) == len(config_hashes(b)) == 1, (first, second)
+            assert config_hashes(a) != config_hashes(b), (first, second)
+        elif kind == "seed":
+            assert config_hashes(a) == config_hashes(b) != set(), (first, second)
+        else:
+            files_a, files_b = written(a), written(b)
+            common = files_a.keys() & files_b.keys()
+            assert common, (first, second)
+            assert [files_a[n] for n in common] == [files_b[n] for n in common], (first, second)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import hashlib
 import http.server
 import json
 import logging
@@ -15,15 +14,16 @@ import threading
 import time
 import urllib.request
 from contextlib import closing, contextmanager, suppress
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import earlier_store, rows
+import pheno_mine
+from conftest import rows
 from oracles import cache_key_oracle
-from pheno_mine import artifacts
 from pheno_mine.cli import data_path, main
 from pheno_mine.errors import (
     BackendError,
@@ -163,8 +163,9 @@ def test_cache_key_depends_on_prompt_model_temperature():
     b = CompletionRequest(prompt="p", model="m", temperature=0.5)
     c = CompletionRequest(prompt="q", model="m", temperature=0.0)
     d = CompletionRequest(prompt="p", model="n", temperature=0.0)
-    keys = {ResponseCache.key("x", r) for r in (a, b, c, d)}
-    assert len(keys) == 4
+    e = CompletionRequest(prompt="p", model="m", temperature=0.0, max_output_tokens=6)
+    keys = {ResponseCache.key("x", r) for r in (a, b, c, d, e)}
+    assert len(keys) == 5
     assert ResponseCache.key("x", a) != ResponseCache.key("y", a)
     assert ResponseCache.key("x", a) == ResponseCache.key("x", a)
 
@@ -188,11 +189,16 @@ KEY_TEXT = st.text(
         st.integers(min_value=0),
         st.sampled_from([0, 0.0, -0.0, 1, 1.0]),
     ),
+    max_output_tokens=st.integers(min_value=1),
 )
-def test_cache_key_equals_the_one_shot_oracle(prompt, backend_id, model, temperature):
+def test_cache_key_equals_the_one_shot_oracle(prompt, backend_id, model, temperature, max_output_tokens):
     for split in range(len(prompt) + 1):
         request = CompletionRequest(
-            prompt=prompt, model=model, temperature=temperature, head=prompt[:split]
+            prompt=prompt,
+            model=model,
+            temperature=temperature,
+            max_output_tokens=max_output_tokens,
+            head=prompt[:split],
         )
         assert ResponseCache.key(backend_id, request) == cache_key_oracle(backend_id, request)
 
@@ -237,15 +243,6 @@ def test_cache_round_trips_any_text_exactly(text):
         assert os.listdir(directory) == ["responses.sqlite"]
 
 
-def test_entry_nested_too_deeply_is_corrupt(tmp_path, caplog):
-    entry = tmp_path / f"{'a' * 64}.json"
-    entry.write_text("[" * 100_000)
-    with caplog.at_level(logging.WARNING):
-        ResponseCache(tmp_path).close()
-    assert [r.getMessage() for r in caplog.records] == [f"ignoring corrupt cache entry {entry}"]
-    assert os.listdir(tmp_path) == ["responses.sqlite"]
-
-
 def test_fresh_store_holds_only_the_reply_table(tmp_path):
     ResponseCache(tmp_path).close()
     with closing(sqlite3.connect(tmp_path / "responses.sqlite")) as db:
@@ -256,55 +253,6 @@ def test_fresh_store_holds_only_the_reply_table(tmp_path):
                 "CREATE TABLE reply(key BLOB PRIMARY KEY, text TEXT NOT NULL) WITHOUT ROWID",
             )
         ]
-
-
-def earlier_doc(text, request, backend_id):
-    """The JSON document the earlier store kept for one reply."""
-    doc = {
-        "text": text,
-        "backend": backend_id,
-        "model": request.model,
-        "temperature": request.temperature,
-        "prompt_sha256": hashlib.sha256(request.prompt.encode("utf-8")).hexdigest(),
-    }
-    return json.dumps(doc, sort_keys=True, ensure_ascii=False)
-
-
-def tables(cache_dir) -> list:
-    with closing(sqlite3.connect(cache_dir / "responses.sqlite")) as db:
-        return [name for (name,) in db.execute("SELECT name FROM sqlite_master")]
-
-
-def test_earlier_store_is_migrated_once(tmp_path, caplog):
-    requests = [CompletionRequest(prompt=p, temperature=0.5) for p in ("first", "sécond")]
-    good = {ResponseCache.key("x", r): f"reply to {r.prompt}\n" for r in requests}
-    bad = "f" * 64
-    cache_dir = tmp_path / "cache"
-    earlier_store(
-        cache_dir,
-        [(key, earlier_doc(good[key], r, "x")) for key, r in zip(good, requests)]
-        + [(bad, "{ not json")],
-    )
-    with caplog.at_level(logging.WARNING):
-        cache = ResponseCache(cache_dir)
-        assert {key: cache.get(key) for key in good} == good
-        assert cache.get(bad) is None
-        cache.close()
-    assert [r.getMessage() for r in caplog.records] == [f"ignoring corrupt cache entry {bad}"]
-    assert tables(cache_dir) == ["reply"]
-    assert rows(cache_dir) == good
-    store = cache_dir / "responses.sqlite"
-    with closing(sqlite3.connect(store)) as db:
-        assert db.execute("PRAGMA freelist_count").fetchone() == (0,)  # vacuumed
-    migrated = store.read_bytes()
-    caplog.clear()
-    with caplog.at_level(logging.WARNING):
-        reopened = ResponseCache(cache_dir)
-        assert {key: reopened.get(key) for key in good} == good
-        reopened.close()
-    assert caplog.records == []
-    assert store.read_bytes() == migrated
-    assert os.listdir(cache_dir) == ["responses.sqlite"]
 
 
 class EchoBackend:
@@ -374,45 +322,6 @@ def test_two_gateways_share_one_cache_directory(tmp_path):
         assert all(resp.text == f"echo prompt {tag}" for tag, resp, _ in streamed)
     assert len(rows(cache_dir)) == 1000
     assert os.listdir(cache_dir) == ["responses.sqlite"]
-
-
-def test_two_gateways_migrate_one_earlier_store_at_once(tmp_path, caplog, monkeypatch):
-    requests = [CompletionRequest(prompt=f"prompt {i}") for i in range(500)]
-    cache_dir = tmp_path / "cache"
-    earlier_store(
-        cache_dir,
-        [(ResponseCache.key("echo", r), earlier_doc(f"echo {r.prompt}", r, "echo")) for r in requests]
-        + [("0" * 64, '{"text": 1}')],
-    )
-    # Both connections find the earlier table before either one moves it.
-    migrate, both_found_it = artifacts._migrate, threading.Barrier(2, timeout=30)
-
-    def migrate_together(db):
-        both_found_it.wait()
-        migrate(db)
-
-    monkeypatch.setattr(artifacts, "_migrate", migrate_together)
-    results = {}
-
-    def run(name):
-        with closing(LlmGateway(EchoBackend(), cache_dir=cache_dir)) as gateway:
-            results[name] = [gateway.complete(r) for r in requests]
-
-    with caplog.at_level(logging.WARNING):
-        threads = [threading.Thread(target=run, args=(name,)) for name in "ab"]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(results) == ["a", "b"]
-    for responses in results.values():
-        assert all(resp.cached for resp in responses)
-        assert [resp.text for resp in responses] == [f"echo {r.prompt}" for r in requests]
-    # only the connection that moved the rows saw the corrupt one
-    assert [r.getMessage() for r in caplog.records] == [f"ignoring corrupt cache entry {'0' * 64}"]
-    assert tables(cache_dir) == ["reply"]
-    assert len(rows(cache_dir)) == 500
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +421,7 @@ def test_batch_rejects_bad_parallelism(mock_gateway):
 
 
 class ScriptedHandler(http.server.BaseHTTPRequestHandler):
-    script = []  # list of (status, body-dict-or-str) or (status, body, headers)
+    script = []  # list of (status, body) or (status, body, headers); a body may be a callable
     seen = []
 
     def do_POST(self):
@@ -521,6 +430,7 @@ class ScriptedHandler(http.server.BaseHTTPRequestHandler):
         type(self).seen.append((self.path, dict(self.headers), payload))
         entry = self.script[min(len(self.seen) - 1, len(self.script) - 1)]
         status, body, headers = (*entry, {})[:3]
+        body = body(payload) if callable(body) else body  # a reply made from the request
         data = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
         self.send_response(status)
         for name, value in headers.items():
@@ -562,6 +472,65 @@ def scripted_server():
 
 def completion_body(text):
     return {"choices": [{"message": {"role": "assistant", "content": text}}]}
+
+
+NOTES = str(data_path("demo_notes.jsonl"))
+DIAGNOSES = str(data_path("demo_diagnoses.csv"))
+
+
+def extract_run(out, *args) -> tuple:
+    """Run ``extract`` on three demo notes into ``out``; its cache hits and matrix bytes."""
+    result = CliRunner().invoke(
+        main,
+        ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--sample-per-cohort", "1",
+         *map(str, args), "--out-dir", str(out)],
+    )
+    assert result.exit_code == 0, result.output + result.stderr
+    report = json.loads((out / "run_report.json").read_text())
+    return report["cache_hits"], (out / "feature_matrix.csv").read_bytes()
+
+
+def test_cache_misses_a_reply_cut_at_another_max_output_tokens(scripted_server, tmp_path):
+    base_url, handler = scripted_server
+    # an endpoint that cuts its reply at max_tokens characters
+    handler.script = [(200, lambda payload: completion_body("hypertension"[: payload["max_tokens"]]))]
+    http = ["--list", "list1", "--backend", "http", "--base-url", base_url]
+    cache = ["--cache-dir", tmp_path / "cache"]
+    _, cut = extract_run(tmp_path / "cut", *http, *cache, "--max-output-tokens", 6)
+    hits, warm = extract_run(tmp_path / "warm", *http, *cache, "--max-output-tokens", 64)
+    _, fresh = extract_run(tmp_path / "fresh", *http, "--max-output-tokens", 64)
+    assert hits == 0
+    assert warm == fresh != cut
+
+
+def test_cache_misses_a_reply_of_other_mock_rules(tmp_path):
+    rules = data_path("mock_rules.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    (tmp_path / "all.csv").write_text("".join(rules), encoding="utf-8")
+    (tmp_path / "fewer.csv").write_text("".join(rules[:-1]), encoding="utf-8")
+    cache = ["--cache-dir", tmp_path / "cache"]
+    extract_run(tmp_path / "all", "--mock-rules", tmp_path / "all.csv", *cache)
+    hits, _ = extract_run(tmp_path / "fewer", "--mock-rules", tmp_path / "fewer.csv", *cache)
+    assert hits == 0
+    again, _ = extract_run(tmp_path / "again", "--mock-rules", tmp_path / "fewer.csv", *cache)
+    assert again > 0
+
+
+def test_mock_backend_id_names_its_rule_table(combined):
+    table = MockRuleTable.from_csv(data_path("mock_rules.csv"))
+    first, again = MockBackend(table, combined), MockBackend(table, combined)
+    fewer = MockBackend(MockRuleTable(table.rules[:-1]), combined)
+    assert first.backend_id == again.backend_id != fewer.backend_id
+    assert first.backend_id.startswith("mock:") and len(first.backend_id) == 17
+    # another process computes the same id, as a salted hash() would not
+    code = (
+        "from pheno_mine.cli import data_path, builtin_list\n"
+        "from pheno_mine.gateway import MockBackend, MockRuleTable\n"
+        "table = MockRuleTable.from_csv(data_path('mock_rules.csv'))\n"
+        "print(MockBackend(table, builtin_list('combined')).backend_id)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pheno_mine.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.stdout == f"{first.backend_id}\n", proc.stderr
 
 
 def test_http_backend_round_trip(scripted_server, monkeypatch):
