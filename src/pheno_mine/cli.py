@@ -19,10 +19,12 @@ from . import baselines as baselines_mod
 from . import cohort as cohort_mod
 from . import extraction
 from .artifacts import artifact_dir, data_path, read_json, read_text, write_json, write_text
+from .baselines import DEFAULT_MIN_DOC_FREQ, DEFAULT_MIN_NER_SCORE, DEFAULT_MIN_TERM_LENGTH
 from .chunking import DEFAULT_CHUNK_BUDGET
 from .errors import CohortError, ConfigError, PhenoMineError
 from .features import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL, FeatureMatrix
 from .gateway import (
+    DEFAULT_MAX_OUTPUT_TOKENS,
     DEFAULT_MODEL,
     HttpChatBackend,
     LlmGateway,
@@ -309,7 +311,7 @@ def _run_manifest(notes_path, manifest_path, diagnoses_path, sample_per_cohort, 
 @click.option("--base-url", help="Chat-completions endpoint base URL (http backend).")
 @click.option("--model", default=DEFAULT_MODEL)
 @click.option("--temperature", type=FiniteFloatRange(min=0), default=0.0)
-@click.option("--max-output-tokens", type=click.IntRange(min=1), default=64)
+@click.option("--max-output-tokens", type=click.IntRange(min=1), default=DEFAULT_MAX_OUTPUT_TOKENS)
 @click.option("--max-in-flight", type=click.IntRange(min=1), default=4)
 @click.option("--cache-dir", type=click.Path(file_okay=False))
 @click.option("--chunk-budget", type=click.IntRange(min=1), default=DEFAULT_CHUNK_BUDGET)
@@ -592,10 +594,10 @@ def pca_cmd(matrix_path, seed, out_dir):
 @click.option("--terms", "terms_path", type=EXISTING_FILE)
 @click.option("--annotations", "annotations_path", type=EXISTING_FILE)
 @click.option("--manifest", "manifest_path", type=EXISTING_FILE)
-@click.option("--min-term-length", type=click.IntRange(min=0), default=4)
-@click.option("--min-doc-freq", type=click.IntRange(min=0), default=50)
+@click.option("--min-term-length", type=click.IntRange(min=0), default=DEFAULT_MIN_TERM_LENGTH)
+@click.option("--min-doc-freq", type=click.IntRange(min=0), default=DEFAULT_MIN_DOC_FREQ)
 @click.option("--similarity-threshold", type=click.FloatRange(0, 1, min_open=True), default=1.0)
-@click.option("--min-score", type=FiniteFloatRange(0, 1), default=0.8)
+@click.option("--min-score", type=FiniteFloatRange(0, 1), default=DEFAULT_MIN_NER_SCORE)
 @seed_option
 @out_dir_option
 @guarded

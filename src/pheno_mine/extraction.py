@@ -19,7 +19,7 @@ from .chunking import DEFAULT_CHUNK_BUDGET, Chunk, chunk_text
 from .cohort import CohortManifest, NoteRecord
 from .errors import MatrixError
 from .features import FeatureMatrix
-from .gateway import DEFAULT_MODEL, CompletionRequest, LlmGateway
+from .gateway import DEFAULT_MAX_OUTPUT_TOKENS, DEFAULT_MODEL, CompletionRequest, LlmGateway
 from .prompts import render_prompt
 from .schema import PhenotypeCategory, PhenotypeList, feature_index
 
@@ -97,14 +97,13 @@ def plan_requests(
     mode: str = "zero_shot",
     model: str = DEFAULT_MODEL,
     temperature: float = 0.0,
-    max_output_tokens: int = 64,
+    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
     heads: "dict | None" = None,
 ) -> "Iterator[tuple[Chunk, PhenotypeCategory, CompletionRequest]]":
     """One request per chunk x category, in deterministic order.
 
     Each prompt is rendered only when its request is drawn; `heads` is
-    render_prompt's per-category memo, shared across calls for one corpus,
-    and gives each request its head.
+    render_prompt's per-category memo, shared across calls for one corpus.
     """
     heads = {} if heads is None else heads
     for chunk in chunks:
@@ -114,7 +113,6 @@ def plan_requests(
                 model=model,
                 temperature=temperature,
                 max_output_tokens=max_output_tokens,
-                head=heads[category.key()],
             )
             yield chunk, category, request
 
@@ -140,7 +138,7 @@ def extract_notes(
     max_in_flight: int = 4,
     model: str = DEFAULT_MODEL,
     temperature: float = 0.0,
-    max_output_tokens: int = 64,
+    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
 ) -> "tuple[list[ExtractionProfile], int]":
     """Extract a corpus in one streaming pass.
 

@@ -19,9 +19,9 @@ import os
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from urllib.parse import urlparse
+from urllib.parse import unquote, urlparse
 
 from .artifacts import ResponseStore, read_csv_rows
 from .errors import (
@@ -38,6 +38,7 @@ from .schema import PhenotypeList
 logger = logging.getLogger(__name__)
 
 DEFAULT_MODEL = "gemma-3-12b-it"
+DEFAULT_MAX_OUTPUT_TOKENS = 64
 API_KEY_ENV_VAR = "PHENO_MINE_API_KEY"
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_BASE = 1.0
@@ -47,10 +48,8 @@ DEFAULT_BACKOFF_BASE = 1.0
 # caller draws (renders) requests in batches: drawing one request after every
 # result made a 2-in-flight loopback HTTP run measurably slower.
 WINDOW_PER_WORKER = 64
-# Entries kept by each cache-key memo: hashed prefixes, one per (backend,
-# max_tokens, model, temperature, head), and escaped prompt remainders.
-# Requests come chunk by chunk, so a chunk's remainder serves its consecutive
-# per-category requests, and a few dozen heads cover a list.
+# Cache-key headers memoised, one per (backend, max_tokens, model, temperature);
+# a run uses one.
 KEY_MEMO_SIZE = 64
 
 
@@ -59,16 +58,11 @@ class CompletionRequest:
     prompt: str
     model: str = DEFAULT_MODEL
     temperature: float = 0.0
-    max_output_tokens: int = 64
-    # A prefix of ``prompt`` shared by many requests, such as a category's
-    # instruction head; it only lets the cache key hash that prefix once.
-    head: str = field(default="", compare=False)
+    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
 
     def __post_init__(self):
         if not self.prompt:
             raise ParameterError("prompt must be non-empty")
-        if not self.prompt.startswith(self.head):
-            raise ParameterError("head must be a prefix of the prompt")
         if not 0 <= self.temperature < math.inf:  # also false for nan
             raise ParameterError(
                 f"temperature must be a finite number >= 0, got {self.temperature}"
@@ -204,19 +198,25 @@ class HttpChatBackend:
 
         The probe takes the route of a request, through any proxy that urllib would use and
         tunnelling to https; it completes the TLS handshake but sends the endpoint no request."""
+        import base64
         import http.client
         import urllib.request
 
         proxy = urllib.request.getproxies().get("https" if self.tls else "http")
+        login = {}
         if proxy and urllib.request.proxy_bypass(self.netloc):
             proxy = None
         elif proxy:  # "host:port", "user:password@host:port" or a URL, as urllib takes it
-            proxy = urlparse(proxy if "://" in proxy else f"//{proxy}").netloc.rpartition("@")[2]
+            parsed = urlparse(proxy if "://" in proxy else f"//{proxy}")
+            proxy = parsed.netloc.rpartition("@")[2]
+            if parsed.username and parsed.password:  # sent as urllib sends them
+                pair = f"{unquote(parsed.username)}:{unquote(parsed.password)}".encode()
+                login["Proxy-Authorization"] = "Basic " + base64.b64encode(pair).decode("ascii")
         connection = http.client.HTTPSConnection if self.tls else http.client.HTTPConnection
         try:
             conn = connection(proxy or self.netloc, timeout=5.0)
             if proxy and self.tls:
-                conn.set_tunnel(self.netloc)
+                conn.set_tunnel(self.netloc, headers=login)
             conn.connect()
             conn.close()
         except (OSError, http.client.HTTPException) as exc:  # ssl.SSLError is an OSError
@@ -282,22 +282,11 @@ class ResponseCache:
 
     @staticmethod
     def key(backend_id: str, request: CompletionRequest) -> str:
-        """sha256 of the sorted-key JSON of backend, max_tokens, model, prompt and temperature.
-
-        The JSON is fed to the hash in pieces. JSON-escaping a concatenation
-        gives the concatenation of the escapes, and so does UTF-8 encoding.
-        So the blob up to the end of ``request.head`` is hashed once per
-        backend, max_tokens, model, temperature and head, and the rest of the
-        prompt is escaped once for all the requests that share it.
-        """
-        t = request.temperature
-        prefix, closing = _key_prefix(
-            backend_id, request.max_output_tokens, request.model, t, repr(t), request.head
+        """sha256 of the request's header line, then the prompt as UTF-8."""
+        header = _key_header(
+            backend_id, request.max_output_tokens, request.model, request.temperature
         )
-        digest = prefix.copy()
-        digest.update(_escape(request.prompt[len(request.head):]))
-        digest.update(closing)
-        return digest.hexdigest()
+        return hashlib.sha256(header + request.prompt.encode("utf-8")).hexdigest()
 
     def get(self, key: str) -> str | None:
         return self._store.get(key)
@@ -309,34 +298,15 @@ class ResponseCache:
         self._store.close()
 
 
-# A str as json.dumps(..., ensure_ascii=False) writes it, quotes included.
-_json_string = json.JSONEncoder(ensure_ascii=False).encode
-
-
 @functools.lru_cache(maxsize=KEY_MEMO_SIZE)
-def _key_prefix(
-    backend_id: str, max_tokens: int, model: str, temperature, spelling: str, head: str
-) -> tuple:
-    """The key's hash fed up to the end of ``head``, and the UTF-8 bytes that close its blob.
+def _key_header(backend_id: str, max_tokens: int, model: str, temperature) -> bytes:
+    """The JSON array of backend, max_tokens, model and temperature, and a newline.
 
-    ``spelling`` is ``repr(temperature)``: it keeps 0, 0.0 and -0.0 apart,
-    which are one value to the memo but three spellings in JSON. Callers copy
-    the hash before feeding it.
+    No JSON text holds a raw newline, so the header ends at the first one. The
+    numbers are canonical, since the memo takes 0, 0.0 and -0.0 for one key.
     """
-    backend, model = _json_string(backend_id), _json_string(model)
-    opening = (
-        f'{{"backend": {backend}, "max_tokens": {json.dumps(max_tokens)}, '
-        f'"model": {model}, "prompt": "'
-    )
-    closing = f'", "temperature": {json.dumps(temperature)}}}'
-    prefix = hashlib.sha256(opening.encode("utf-8") + _escape(head))
-    return prefix, closing.encode("utf-8")
-
-
-@functools.lru_cache(maxsize=KEY_MEMO_SIZE)
-def _escape(text: str) -> bytes:
-    """``text`` as UTF-8 between the quotes of a JSON string."""
-    return _json_string(text)[1:-1].encode("utf-8")
+    fields = [backend_id, int(max_tokens), model, float(temperature) + 0.0]
+    return (json.dumps(fields) + "\n").encode("utf-8")
 
 
 class LlmGateway:

@@ -220,8 +220,8 @@ def parse_phenotype_list(doc: dict, source: str = "<memory>") -> PhenotypeList:
     list_id = doc.get("list_id")
     if not isinstance(list_id, str) or not list_id:
         raise _fail(source, "'list_id' must be a non-empty string")
-    if ":" in list_id and not list_id.startswith("custom:"):
-        raise _fail(source, f"list id {list_id!r} must not contain ':' (except 'custom:<name>')")
+    if ":" in list_id:  # column keys are split at their first ':'
+        raise _fail(source, f"list id {list_id!r} must not contain ':'")
     raw_categories = doc.get("categories")
     if not isinstance(raw_categories, list) or not raw_categories:
         raise _fail(source, "'categories' must be a non-empty list")

@@ -6,7 +6,7 @@ numerical integration for the chi-square survival function, a loop over
 notes for the per-category counts of a matrix, SVD for PCA,
 exhaustive assignment enumeration for k-means, every n-gram against every
 term for dictionary matching, with each exact window joined into a string,
-and one ``json.dumps`` of the whole blob for the response-cache key. Slow and
+and one string of header and prompt for the response-cache key. Slow and
 simple wins.
 """
 
@@ -321,20 +321,11 @@ def note_concepts_jaccard_oracle(tokens: list, terms: dict, max_n: int, threshol
 
 
 # ---------------------------------------------------------------------------
-# response-cache key, the whole blob dumped and hashed in one go
+# response-cache key, header line and prompt joined as text and hashed in one go
 
 
 def cache_key_oracle(backend_id: str, request) -> str:
-    """sha256 of the sorted-key JSON of backend, max_tokens, model, prompt and temperature."""
-    blob = json.dumps(
-        {
-            "backend": backend_id,
-            "max_tokens": request.max_output_tokens,
-            "model": request.model,
-            "temperature": request.temperature,
-            "prompt": request.prompt,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """sha256 of the JSON array of backend, max_tokens, model and temperature, a newline
+    and the prompt; every zero temperature is written 0.0."""
+    fields = [backend_id, request.max_output_tokens, request.model, abs(float(request.temperature))]
+    return hashlib.sha256((json.dumps(fields) + "\n" + request.prompt).encode("utf-8")).hexdigest()

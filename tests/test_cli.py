@@ -837,6 +837,19 @@ def test_extract_closes_the_cache_on_every_exit(
     assert [p.name for p in cache.iterdir()] == ["responses.sqlite"]
 
 
+def test_second_extract_with_the_same_cache_hits_every_request(runner, tmp_path):
+    extract = ["extract", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--list", "list1",
+               "--cache-dir", tmp_path / "cache"]
+    for run in ("cold", "warm"):
+        invoke(runner, *extract, "--out-dir", tmp_path / run)
+    cold, warm = (json.loads((tmp_path / run / "run_report.json").read_text())
+                  for run in ("cold", "warm"))
+    assert cold["cache_hits"] == 0
+    assert warm["cache_hits"] == warm["requests"] == cold["requests"] > 0
+    matrices = [(tmp_path / run / "feature_matrix.csv").read_bytes() for run in ("cold", "warm")]
+    assert matrices[0] == matrices[1]
+
+
 @pytest.mark.parametrize("kind", ["text file", "directory"])
 def test_bad_cache_store_is_one_line_before_artifacts(runner, tmp_path, kind):
     store = tmp_path / "cache" / "responses.sqlite"

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import tempfile
 import tracemalloc
-from collections import Counter
 from contextlib import closing
 
 import pytest
@@ -10,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pheno_mine import chunking, cli, extraction, gateway, prompts
+from pheno_mine import chunking, cli, extraction, prompts
 from pheno_mine.cohort import CohortManifest, ManifestEntry, NoteRecord
 from pheno_mine.errors import MatrixError
 from pheno_mine.extraction import (
@@ -104,8 +103,10 @@ def test_plan_requests_is_chunk_by_category(combined):
     assert [cat.name for _, cat, _ in first_block] == [
         c.name for c in combined.categories
     ]
-    # each request carries its category's head, for the cache key
-    assert all(request.prompt == request.head + chunk.text for chunk, _, request in plan)
+    assert all(
+        request.prompt == prompts.render_prompt(category, chunk, "zero_shot")
+        for chunk, category, request in plan
+    )
 
 
 def test_extract_note_unions_chunks(mock_gateway, combined):
@@ -455,34 +456,3 @@ def test_extract_renders_each_prompt_body_once_per_category(
     ]
     assert len(expected) > 2 * len(notes) * len(combined.categories)  # multi-chunk notes
     assert sent == expected
-
-
-def test_cache_keys_escape_each_chunk_once_and_each_head_once(combined, tmp_path, monkeypatch):
-    escaped = Counter()
-    real_json_string = gateway._json_string
-
-    def counting_json_string(text):
-        escaped[text] += 1
-        return real_json_string(text)
-
-    monkeypatch.setattr(gateway, "_json_string", counting_json_string)
-    # a memo kept warm by earlier tests would escape nothing at all
-    gateway._key_prefix.cache_clear()
-    gateway._escape.cache_clear()
-    table = MockRuleTable.from_csv(data_path("mock_rules.csv"))
-    cached = LlmGateway(MockBackend(table, combined), cache_dir=tmp_path / "cache")
-    notes = [
-        NoteRecord(f"N{i}", f"P{i}", " ".join(f"Seen on day {j} of stay {i}." for j in range(i + 2)))
-        for i in range(4)
-    ]
-    try:
-        _, failures = extract_notes(notes, combined, cached, chunk_budget=12)
-    finally:
-        cached.close()
-    assert failures == 0
-    chunks = [c.text for note in notes for c in chunk_text(note.text, 12, note.note_id)]
-    heads = {prompts._head(category, "zero_shot") for category in combined.categories}
-    assert len(set(chunks)) == len(chunks) > len(notes)
-    assert len(heads) == len(combined.categories)
-    assert {text: escaped[text] for text in chunks} == dict.fromkeys(chunks, 1)
-    assert {head: escaped[head] for head in heads} == dict.fromkeys(heads, 1)

@@ -134,12 +134,14 @@ def test_duplicate_phenotype_ids_rejected():
 
 
 def test_colon_in_id_rejected():
-    doc = {
-        "list_id": "x:y",
-        "categories": [{"name": "A", "candidates": [{"id": "p", "display_name": "p"}]}],
-    }
-    with pytest.raises(SchemaError, match="':'"):
-        parse_phenotype_list(doc)
+    # a matrix column key is split at its first ':', so "custom:mine" would read back wrong
+    for list_id in ("x:y", "custom:mine"):
+        doc = {
+            "list_id": list_id,
+            "categories": [{"name": "A", "candidates": [{"id": "p", "display_name": "p"}]}],
+        }
+        with pytest.raises(SchemaError, match="':'"):
+            parse_phenotype_list(doc)
 
 
 def test_few_shot_examples_require_a_none_case():
