@@ -24,7 +24,7 @@ PROVENANCE_PREFIX = "# provenance: "
 # page cache than 256 KiB only costs memory.
 STORE_SETUP = """PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; PRAGMA cache_size=-256;
 CREATE TABLE IF NOT EXISTS reply(key BLOB PRIMARY KEY, text TEXT NOT NULL) WITHOUT ROWID"""
-GET_REPLY = "SELECT text FROM reply WHERE key = ?"
+GET_REPLIES = "SELECT key, text FROM reply WHERE key IN ({})"
 PUT_REPLY = "INSERT OR REPLACE INTO reply VALUES (?, ?)"
 LOCK_WAIT_S = 60.0  # how long a statement waits for another connection's lock
 
@@ -159,10 +159,11 @@ def read_csv_rows(path: str | Path, error: type, what: str, columns: tuple):
 class ResponseStore:
     """Reply texts by key digest in one SQLite file, shared by threads and by processes.
 
-    Each ``put`` is its own transaction; one connection serves every thread, behind
-    a lock. The last ``close`` checkpoints the log and removes the -wal and -shm files.
-    It reads only the ``reply`` table: an earlier format's ``response`` table or JSON
-    file per entry stays on disk unread, as no key of today can hit its rows.
+    One query reads a list of keys; each ``put`` is its own transaction. One connection
+    serves every thread, behind a lock. The last ``close`` checkpoints the log and removes
+    the -wal and -shm files. It reads only the ``reply`` table: an earlier format's
+    ``response`` table or JSON file per entry stays on disk unread, as no key of today can
+    hit its rows.
     """
 
     def __init__(self, path: str | Path):
@@ -180,13 +181,16 @@ class ResponseStore:
             raise ConfigError(f"cannot open the response cache {path}: {exc}") from exc
         self._db = db
 
-    def get(self, key: str) -> str | None:
+    def get(self, keys: list) -> list:
+        """The text stored under each key, in order: None for a miss or a corrupt entry."""
+        digests = [bytes.fromhex(key) for key in keys]
         with self._lock:
-            row = self._db.execute(GET_REPLY, (bytes.fromhex(key),)).fetchone()
-        if row and not isinstance(row[0], str):  # only a BLOB gets past TEXT affinity
-            logger.warning("ignoring corrupt cache entry %s", key)
-            return None
-        return row[0] if row else None
+            found = dict(self._db.execute(GET_REPLIES.format(",".join("?" * len(keys))), digests))
+        for digest, text in found.items():
+            if not isinstance(text, str):  # only a BLOB gets past TEXT affinity
+                logger.warning("ignoring corrupt cache entry %s", digest.hex())
+                found[digest] = None
+        return [found.get(digest) for digest in digests]
 
     def put(self, key: str, text: str):
         with self._lock:

@@ -413,7 +413,8 @@ def extract_cmd(
             f"{matrix.shape[1]} phenotypes, {failure_count} failed completions)"
         )
         if failure_count:
-            click.echo(f"warning: {failure_count} completions failed; see run_report.json", err=True)
+            where = "the WARNING lines above name each one's note, chunk and category"
+            click.echo(f"warning: {failure_count} completions failed; {where}", err=True)
             sys.exit(EXIT_FAILURES)
 
 

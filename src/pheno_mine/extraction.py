@@ -3,7 +3,7 @@
 Each (chunk, category) pair yields one completion. Tokens are matched against
 the category's candidate display names and aliases; each completion sets cells
 of its note's matrix row, so the row is the union over chunks and adding a
-chunk can only add phenotypes.
+chunk can only add phenotypes. A run parses each distinct reply once.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from .prompts import render_prompt
 from .schema import PhenotypeCategory, PhenotypeList, feature_index
 
 logger = logging.getLogger(__name__)
+
+# Parsed replies a run keeps, by (category key, reply text); cleared when full.
+PARSE_MEMO_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -67,21 +70,22 @@ def parse_response(
 ) -> set:
     """Comma-separated display names / aliases -> set of phenotype ids.
 
-    "none" contributes nothing; unknown tokens are dropped (and appended to
-    `rejects` when given) so one odd completion never aborts a run.
+    A name matches a token that normalises alike; the first candidate to claim a
+    token keeps it. "none" contributes nothing; unknown tokens are dropped (and
+    appended to `rejects` when given) so one odd completion never aborts a run.
     """
     ids: set[str] = set()
     if not text or not text.strip():
         return ids
+    id_of: dict[str, str] = {}
+    for candidate in category.candidates:
+        for name in (candidate.display_name, *candidate.aliases):
+            id_of.setdefault(normalize_token(name), candidate.id)
     for raw in text.split(","):
         token = normalize_token(raw)
         if not token or token == "none":
             continue
-        matched = None
-        for candidate in category.candidates:
-            if candidate.matches(token):
-                matched = candidate.id
-                break
+        matched = id_of.get(token)
         if matched is None:
             if rejects is not None:
                 rejects.append(token)
@@ -118,15 +122,22 @@ def plan_requests(
 
 
 def _merge_result(
-    profile: ExtractionProfile, chunk: Chunk, category: PhenotypeCategory, text: str, column_of
+    profile: ExtractionProfile, chunk: Chunk, category: PhenotypeCategory, text: str, column_of, memo
 ):
-    unknown: list[str] = []
-    for pid in parse_response(text, category, rejects=unknown):
-        profile.row[column_of[category.namespace, category.name, pid]] = 1
+    key = category.key()
+    parsed = memo.get((key, text))
+    if parsed is None:
+        if len(memo) >= PARSE_MEMO_LIMIT:
+            memo.clear()
+        unknown: list[str] = []
+        ids = parse_response(text, category, rejects=unknown)
+        columns = [column_of[category.namespace, category.name, pid] for pid in ids]
+        parsed = memo[key, text] = columns, unknown
+    columns, unknown = parsed
+    for column in columns:
+        profile.row[column] = 1
     for token in unknown:
-        profile.rejects.append(
-            RejectedToken(profile.note_id, chunk.chunk_index, category.key(), token)
-        )
+        profile.rejects.append(RejectedToken(profile.note_id, chunk.chunk_index, key, token))
 
 
 def extract_notes(
@@ -154,10 +165,11 @@ def extract_notes(
     profiles: list[ExtractionProfile] = []
     heads: dict = {}
     column_of = {(c.list_id, c.category, c.phenotype_id): c.index for c in feature_index(plist)}
+    memo: dict = {}  # (category key, reply text) -> (columns, rejected tokens)
 
     def jobs():
         for note in notes:
-            profile = ExtractionProfile(note.note_id, bytearray(len(plist)))
+            profile = ExtractionProfile(note.note_id, bytearray(len(column_of)))
             profiles.append(profile)
             chunks = chunk_text(note.text, budget=chunk_budget, note_id=note.note_id)
             profile.estimated_tokens = sum(c.estimated_tokens for c in chunks)
@@ -182,7 +194,7 @@ def extract_notes(
             profile.incomplete.append((chunk.chunk_index, category.key()))
             continue
         profile.cache_hits += response.cached
-        _merge_result(profile, chunk, category, response.text, column_of)
+        _merge_result(profile, chunk, category, response.text, column_of, memo)
     oversized = sum(p.oversized_chunks for p in profiles)
     if oversized:
         logger.warning(

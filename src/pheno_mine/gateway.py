@@ -1,17 +1,18 @@
 """Completion gateway: HTTP chat backend, deterministic mock, cache, streaming fan-out.
 
-Every extraction call goes through ``LlmGateway.complete``, which consults a
-content-addressed on-disk cache first and retries transient backend failures
-with exponential backoff, waiting longer when a 429 or 5xx response's
-``Retry-After`` asks for it. ``complete_stream`` fans a stream of requests out
-with a bounded number in flight and yields each result, or its failure, in
-input order.
+``LlmGateway.complete`` consults a content-addressed on-disk cache first and
+retries transient backend failures with exponential backoff, waiting longer
+when a 429 or 5xx response's ``Retry-After`` asks for it. ``complete_stream``
+looks a window of requests up in the cache at once, fans the misses out with a
+bounded number in flight and yields each result, or its failure, in input
+order.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -42,11 +43,11 @@ DEFAULT_MAX_OUTPUT_TOKENS = 64
 API_KEY_ENV_VAR = "PHENO_MINE_API_KEY"
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_BASE = 1.0
-# Most requests outstanding per worker on the threaded path. The window is
-# refilled only once it has drained to half, so a worker always finds the next
-# request queued, also while the oldest request is being retried, and the
-# caller draws (renders) requests in batches: drawing one request after every
-# result made a 2-in-flight loopback HTTP run measurably slower.
+# Requests per cache query, and most outstanding per worker on the threaded
+# path. The window is refilled only once it has drained to half, so a worker
+# always finds the next request queued, also while the oldest is retried, and
+# the caller draws (renders) requests in batches: drawing one request after
+# every result made a 2-in-flight loopback HTTP run measurably slower.
 WINDOW_PER_WORKER = 64
 # Cache-key headers memoised, one per (backend, max_tokens, model, temperature);
 # a run uses one.
@@ -288,8 +289,9 @@ class ResponseCache:
         )
         return hashlib.sha256(header + request.prompt.encode("utf-8")).hexdigest()
 
-    def get(self, key: str) -> str | None:
-        return self._store.get(key)
+    def get(self, keys: list) -> list:
+        """The reply cached under each key, in order; None for a miss."""
+        return self._store.get(keys)
 
     def put(self, key: str, text: str):
         self._store.put(key, text)
@@ -337,7 +339,7 @@ class LlmGateway:
         key = None
         if self.cache is not None:
             key = ResponseCache.key(self.backend.backend_id, request)
-            hit = self.cache.get(key)
+            (hit,) = self.cache.get([key])
             if hit is not None:
                 return CompletionResponse(text=hit, cached=True, latency_ms=0.0)
         start = time.perf_counter()
@@ -373,27 +375,41 @@ class LlmGateway:
 
         Results come back in input order. A failed request yields
         ``(tag, None, message)`` and the stream goes on. ``jobs`` is consumed
-        lazily: a backend that never waits completes each request inline as
-        it is drawn; any other backend gets ``max_in_flight`` worker threads
-        with at most ``WINDOW_PER_WORKER`` requests per worker outstanding.
+        lazily. With a cache, a window of ``WINDOW_PER_WORKER`` requests is looked
+        up in one query (a failed one fails the window) and its hits are yielded
+        as they are; each miss goes to ``complete``, whose own lookup serves a
+        copy completed meanwhile. A backend that never waits completes each miss
+        inline; any other gets ``max_in_flight`` worker threads with at most
+        ``WINDOW_PER_WORKER`` requests per worker outstanding.
         """
         if max_in_flight < 1:
             raise ParameterError(f"max_in_flight must be >= 1, got {max_in_flight}")
+        jobs = self._looked_up(iter(jobs)) if self.cache else ((*job, None) for job in jobs)
         if getattr(self.backend, "never_waits", False):
-            return self._stream_inline(jobs)
+            return (
+                _settled(tag, hit or functools.partial(self.complete, request))
+                for tag, request, hit in jobs
+            )
         return self._stream_threaded(jobs, max_in_flight)
 
-    def _stream_inline(self, jobs):
-        for tag, request in jobs:
-            yield _settled(tag, functools.partial(self.complete, request))
+    def _looked_up(self, jobs):
+        """``(tag, request, hit)`` per job: ``hit()`` replays the cache or raises; None: a miss."""
+        while window := list(itertools.islice(jobs, WINDOW_PER_WORKER)):
+            keys = [ResponseCache.key(self.backend.backend_id, request) for _, request in window]
+            try:
+                texts = self.cache.get(keys)
+            except Exception as exc:  # noqa: BLE001 - reported per request
+                texts = [exc] * len(window)
+            for (tag, request), text in zip(window, texts):
+                yield tag, request, None if text is None else functools.partial(_replay, text)
 
     def _stream_threaded(self, jobs, max_in_flight: int):
         window: deque = deque()
         limit = max_in_flight * WINDOW_PER_WORKER
         pool = ThreadPoolExecutor(max_workers=max_in_flight)
         try:
-            for tag, request in jobs:
-                window.append((tag, pool.submit(self.complete, request).result))
+            for tag, request, hit in jobs:
+                window.append((tag, hit or pool.submit(self.complete, request).result))
                 if len(window) >= limit:
                     while len(window) > limit // 2:
                         yield _settled(*window.popleft())
@@ -401,6 +417,13 @@ class LlmGateway:
                 yield _settled(*window.popleft())
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _replay(found) -> CompletionResponse:
+    """The response of a cached reply; a failed lookup's error is raised."""
+    if isinstance(found, Exception):
+        raise found
+    return CompletionResponse(text=found, cached=True, latency_ms=0.0)
 
 
 def _settled(tag, result):

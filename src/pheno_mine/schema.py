@@ -29,11 +29,6 @@ class Phenotype:
     display_name: str
     aliases: tuple[str, ...] = ()
 
-    def matches(self, token: str) -> bool:
-        """True if a response token denotes this phenotype (case-insensitive)."""
-        token = token.lower()
-        return token == self.display_name.lower() or token in self.aliases
-
 
 @dataclass(frozen=True)
 class FewShotExample:
@@ -150,6 +145,9 @@ def _parse_phenotype(doc: dict, source: str, where: str) -> Phenotype:
     aliases = doc.get("aliases", [])
     if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
         raise _fail(source, f"{where}: candidate {pid!r} 'aliases' must be a list of strings")
+    for name in (display, *aliases):
+        if "," in name:  # a reply is split at its commas
+            raise _fail(source, f"{where}: candidate {pid!r} name {name!r} must not contain ','")
     normalized = tuple(dict.fromkeys(" ".join(a.split()).lower() for a in aliases if a.strip()))
     return Phenotype(id=pid, display_name=display.strip(), aliases=normalized)
 

@@ -26,7 +26,7 @@ from pheno_mine.chunking import chunk_text
 from pheno_mine.cli import data_path, main
 from pheno_mine.errors import TransientBackendError
 from pheno_mine.gateway import WINDOW_PER_WORKER, LlmGateway, MockBackend, MockRuleTable
-from pheno_mine.schema import builtin_list, feature_index
+from pheno_mine.schema import builtin_list, feature_index, parse_phenotype_list
 
 COMBINED = builtin_list("combined")
 CATEGORIES = list(COMBINED.categories)
@@ -61,6 +61,35 @@ def test_parse_response_maps_display_names_and_aliases(list1):
     assert parse_response("None.", memory) == set()
     assert parse_response("", memory) == set()
     assert parse_response("   ", memory) == set()
+
+
+@pytest.mark.parametrize(
+    "candidate, reply",
+    [
+        ({"display_name": "Memory  loss"}, "Memory  loss"),  # two spaces
+        ({"display_name": "Gait disorder."}, "Gait disorder."),
+        ({"display_name": "x", "aliases": ["Dr. visit."]}, "Dr. visit."),
+        ({"display_name": "x", "aliases": ["'quoted'"]}, "'quoted'"),
+    ],
+)
+def test_a_reply_that_echoes_a_name_exactly_matches_it(candidate, reply):
+    category = one_category({"id": "p", **candidate})
+    rejects: list[str] = []
+    assert parse_response(reply, category, rejects) == {"p"}
+    assert rejects == []
+
+
+def test_the_first_candidate_keeps_a_shared_token():
+    category = one_category(
+        {"id": "p", "display_name": "Apathy", "aliases": ["withdrawn"]},
+        {"id": "q", "display_name": "Withdrawn."},
+    )
+    assert parse_response("Withdrawn., apathy", category) == {"p"}
+
+
+def one_category(*candidates):
+    doc = {"list_id": "x", "categories": [{"name": "A", "candidates": list(candidates)}]}
+    return parse_phenotype_list(doc).categories[0]
 
 
 def test_parse_response_collects_rejects(list1):
@@ -181,6 +210,47 @@ def test_inline_and_threaded_paths_agree(combined, mock_gateway, demo_notes):
     profiles, failures = results[0]
     assert failures == sum(len(p["incomplete"]) for p in profiles) > 0
     assert any(any(p["row"]) for p in profiles)
+
+
+def test_a_warm_run_reads_the_cache_one_window_at_a_time(combined, demo_notes, tmp_path):
+    table = MockRuleTable.from_csv(data_path("mock_rules.csv"))
+    runs = []
+    for _ in range(2):  # cold, then warm
+        with closing(LlmGateway(MockBackend(table, combined), cache_dir=tmp_path)) as gateway:
+            statements: list[str] = []
+            gateway.cache._store._db.set_trace_callback(statements.append)
+            profiles, failures = extract_notes(demo_notes, combined, gateway)
+        runs.append(([p.row for p in profiles], statements))
+    (cold_rows, _), (warm_rows, statements) = runs
+    requests = sum(p.requests for p in profiles)
+    assert failures == 0 and sum(p.cache_hits for p in profiles) == requests > WINDOW_PER_WORKER
+    assert warm_rows == cold_rows
+    selects = [s for s in statements if s.startswith("SELECT")]
+    assert len(selects) == len(statements) == -(-requests // WINDOW_PER_WORKER)
+
+
+def test_a_repeated_reply_logs_rejects_for_each_of_its_cells(combined):
+    class OddBackend:  # the same reply, with one unknown token, for every request
+        backend_id = "odd"
+        never_waits = True
+
+        def complete_text(self, request):
+            return "flying, hypertension"
+
+    unknown = {}  # category key -> the reply's tokens that it does not know, in order
+    for category in combined.categories:
+        parse_response("flying, hypertension", category, unknown.setdefault(category.key(), []))
+    notes = [NoteRecord("N1", "P1", "One. Two."), NoteRecord("N2", "P2", "Three.")]
+    profiles, _ = extract_notes(notes, combined, LlmGateway(OddBackend()), chunk_budget=2)
+    for profile, note in zip(profiles, notes):
+        chunks = len(chunk_text(note.text, 2))
+        assert [(r.note_id, r.chunk_index, r.category, r.token) for r in profile.rejects] == [
+            (note.note_id, i, c.key(), token)
+            for i in range(chunks)
+            for c in combined.categories
+            for token in unknown[c.key()]
+        ]
+        assert found(profile.row, combined, "list1:Comorbidities") == {"hypertension"}
 
 
 class PhrasesDownBackend:

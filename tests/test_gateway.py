@@ -247,10 +247,10 @@ def test_cache_round_trips_any_text_exactly(text):
     with tempfile.TemporaryDirectory() as directory:
         cache = ResponseCache(directory)
         cache.put(key, text)
-        assert cache.get(key) == text
+        assert cache.get([key]) == [text]
         cache.close()
         reopened = ResponseCache(directory)
-        assert reopened.get(key) == text
+        assert reopened.get([key]) == [text]
         reopened.close()
         # a row is the key's digest and the text itself
         assert rows(directory) == {key: text}
@@ -421,6 +421,86 @@ def test_batch_preserves_order_and_reports_failures(combined):
                 assert response.text == f"text {i}" and error is None
             else:
                 assert response is None and error == f"no {i}"
+
+
+class PromptBackend:
+    """Echoes a prompt, or fails it for good when it names a ``failing`` prompt."""
+
+    backend_id = "prompt"
+
+    def __init__(self, failing, never_waits):
+        self.failing = failing
+        self.never_waits = never_waits
+
+    def complete_text(self, request):
+        if request.prompt in self.failing:
+            raise BackendError(f"no {request.prompt}")
+        return f"echo {request.prompt}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # more requests than one lookup window, drawn from few prompts so that many repeat
+    picks=st.lists(st.integers(0, 11), max_size=3 * WINDOW_PER_WORKER),
+    cached=st.sets(st.integers(0, 11)),
+    failing=st.sets(st.integers(0, 11)),
+)
+def test_stream_agrees_with_one_request_at_a_time(picks, cached, failing):
+    prompts = [f"p{i}" for i in range(12)]
+    jobs = [(tag, CompletionRequest(prompt=prompts[i])) for tag, i in enumerate(picks)]
+
+    def run(never_waits, stream):
+        backend = PromptBackend({prompts[i] for i in failing}, never_waits)
+        with tempfile.TemporaryDirectory() as directory:
+            with closing(LlmGateway(backend, cache_dir=directory, max_attempts=1)) as gateway:
+                for i in cached:
+                    key = ResponseCache.key(backend.backend_id, CompletionRequest(prompt=prompts[i]))
+                    gateway.cache.put(key, f"cached {prompts[i]}")
+                if stream:
+                    # one worker: two copies of one uncached prompt in flight at once
+                    # would both miss, with the window lookup or without it
+                    results = list(gateway.complete_stream(iter(jobs), max_in_flight=1))
+                else:
+                    results = []
+                    for tag, request in jobs:
+                        try:
+                            results.append((tag, gateway.complete(request), None))
+                        except BackendError as exc:
+                            results.append((tag, None, str(exc)))
+            store = rows(directory)
+        outcomes = [
+            (tag, response and response.text, response and response.cached, error)
+            for tag, response, error in results
+        ]
+        return outcomes, store
+
+    for never_waits in (True, False):
+        assert run(never_waits, stream=True) == run(never_waits, stream=False)
+
+
+@pytest.mark.parametrize("never_waits", [True, False])
+def test_failed_lookup_fails_its_window_and_the_stream_goes_on(tmp_path, never_waits):
+    backend = PromptBackend(set(), never_waits)
+    jobs = [(i, CompletionRequest(prompt=f"p{i}")) for i in range(WINDOW_PER_WORKER + 5)]
+    with closing(LlmGateway(backend, cache_dir=tmp_path)) as gateway:
+        store_get = gateway.cache._store.get
+        calls = []
+
+        def get(keys):  # the first query fails, as a locked or damaged store would
+            calls.append(len(keys))
+            if len(calls) == 1:
+                raise sqlite3.OperationalError("disk I/O error")
+            return store_get(keys)
+
+        gateway.cache._store.get = get
+        results = list(gateway.complete_stream(iter(jobs), max_in_flight=2))
+    assert [tag for tag, _, _ in results] == list(range(len(jobs)))
+    assert [error for _, _, error in results[:WINDOW_PER_WORKER]] == (
+        ["disk I/O error"] * WINDOW_PER_WORKER
+    )
+    assert all(r.text == f"echo p{tag}" and e is None for tag, r, e in results[WINDOW_PER_WORKER:])
+    # one query per window, then one per miss as it is completed
+    assert calls == [WINDOW_PER_WORKER, 5, 1, 1, 1, 1, 1]
 
 
 def test_batch_rejects_bad_parallelism(mock_gateway):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pheno_mine.errors import SchemaError
+from pheno_mine.extraction import parse_response
 from pheno_mine.schema import (
     FeatureColumn,
     builtin_list,
@@ -49,12 +50,23 @@ def test_every_category_has_three_examples_with_a_none(combined):
 
 
 def test_phenotype_matches_display_name_and_aliases(list1):
+    # a reply token matches a candidate when both normalise alike
     memory = list1.category("Memory Indicators")
-    repeating = memory.candidates[0]
-    assert repeating.matches("repeating")
-    assert repeating.matches("REPEATING")
-    assert repeating.matches("repeats questions")
-    assert not repeating.matches("misplacing")
+    for reply in ("repeating", "REPEATING", "repeats questions"):
+        assert parse_response(reply, memory) == {"repeating"}
+    assert parse_response("misplacing", memory) == {"misplacing"}
+
+
+@pytest.mark.parametrize(
+    "candidate",
+    [{"display_name": "Memory, short-term"}, {"display_name": "x", "aliases": ["y", "a,b"]}],
+)
+def test_comma_in_a_name_rejected(candidate):
+    # replies are split at commas, so such a name could never match
+    doc = {"list_id": "x", "categories": [{"name": "A", "candidates": [{"id": "p", **candidate}]}]}
+    with pytest.raises(SchemaError, match="must not contain ','") as caught:
+        parse_phenotype_list(doc)
+    assert "\n" not in str(caught.value)
 
 
 def test_category_lookup_bare_and_namespaced(combined):
