@@ -182,19 +182,18 @@ class ResponseStore:
         self._db = db
 
     def get(self, keys: list) -> list:
-        """The text stored under each key, in order: None for a miss or a corrupt entry."""
-        digests = [bytes.fromhex(key) for key in keys]
+        """The text stored under each key digest, in order: None for a miss or a corrupt entry."""
         with self._lock:
-            found = dict(self._db.execute(GET_REPLIES.format(",".join("?" * len(keys))), digests))
+            found = dict(self._db.execute(GET_REPLIES.format(",".join("?" * len(keys))), keys))
         for digest, text in found.items():
             if not isinstance(text, str):  # only a BLOB gets past TEXT affinity
                 logger.warning("ignoring corrupt cache entry %s", digest.hex())
                 found[digest] = None
-        return [found.get(digest) for digest in digests]
+        return [found.get(key) for key in keys]
 
-    def put(self, key: str, text: str):
+    def put(self, key: bytes, text: str):
         with self._lock:
-            self._db.execute(PUT_REPLY, (bytes.fromhex(key), text))
+            self._db.execute(PUT_REPLY, (key, text))
 
     def close(self):
         with self._lock:

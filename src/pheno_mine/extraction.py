@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -19,8 +19,8 @@ from .chunking import DEFAULT_CHUNK_BUDGET, Chunk, chunk_text
 from .cohort import CohortManifest, NoteRecord
 from .errors import MatrixError
 from .features import FeatureMatrix
-from .gateway import DEFAULT_MAX_OUTPUT_TOKENS, DEFAULT_MODEL, CompletionRequest, LlmGateway
-from .prompts import render_prompt
+from .gateway import DEFAULT_MAX_OUTPUT_TOKENS, DEFAULT_MODEL, LlmGateway
+from .prompts import prompt_head, render_prompt
 from .schema import PhenotypeCategory, PhenotypeList, feature_index
 
 logger = logging.getLogger(__name__)
@@ -95,32 +95,6 @@ def parse_response(
     return ids
 
 
-def plan_requests(
-    chunks: "list[Chunk]",
-    plist: PhenotypeList,
-    mode: str = "zero_shot",
-    model: str = DEFAULT_MODEL,
-    temperature: float = 0.0,
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
-    heads: "dict | None" = None,
-) -> "Iterator[tuple[Chunk, PhenotypeCategory, CompletionRequest]]":
-    """One request per chunk x category, in deterministic order.
-
-    Each prompt is rendered only when its request is drawn; `heads` is
-    render_prompt's per-category memo, shared across calls for one corpus.
-    """
-    heads = {} if heads is None else heads
-    for chunk in chunks:
-        for category in plist.categories:
-            request = CompletionRequest(
-                prompt=render_prompt(category, chunk, mode, heads),
-                model=model,
-                temperature=temperature,
-                max_output_tokens=max_output_tokens,
-            )
-            yield chunk, category, request
-
-
 def _merge_result(
     profile: ExtractionProfile, chunk: Chunk, category: PhenotypeCategory, text: str, column_of, memo
 ):
@@ -153,9 +127,10 @@ def extract_notes(
 ) -> "tuple[list[ExtractionProfile], int]":
     """Extract a corpus in one streaming pass.
 
-    Each note is chunked once; its prompts are rendered as the gateway draws
-    them and its results merged as they come back, so memory holds a bounded
-    window of requests rather than the whole corpus's prompts. A failed
+    Each note is chunked once and planned as one job per chunk x category,
+    chunk-major; the gateway draws jobs as it goes, renders a prompt only for
+    a request the response cache does not serve, and results are merged as
+    they come back, so memory holds a bounded window of jobs. A failed
     completion marks its (chunk, category) incomplete and the rest of the
     note still completes. Oversized chunks, each a sentence longer than the
     budget, are counted per note and reported in one warning per run.
@@ -163,7 +138,8 @@ def extract_notes(
     Returns the profiles (input order) and the number of failed completions.
     """
     profiles: list[ExtractionProfile] = []
-    heads: dict = {}
+    heads = {c.key(): prompt_head(c, mode) for c in plist.categories}  # render_prompt's memo
+    planned = [(c, heads[c.key()]) for c in plist.categories]
     column_of = {(c.list_id, c.category, c.phenotype_id): c.index for c in feature_index(plist)}
     memo: dict = {}  # (category key, reply text) -> (columns, rejected tokens)
 
@@ -174,13 +150,16 @@ def extract_notes(
             chunks = chunk_text(note.text, budget=chunk_budget, note_id=note.note_id)
             profile.estimated_tokens = sum(c.estimated_tokens for c in chunks)
             profile.oversized_chunks = sum(c.oversized for c in chunks)
-            for chunk, category, request in plan_requests(
-                chunks, plist, mode, model, temperature, max_output_tokens, heads
-            ):
-                yield (profile, chunk, category), request
+            for chunk in chunks:
+                for category, head in planned:
+                    yield (profile, chunk, category), head, chunk.text
+
+    def render(tag):
+        _, chunk, category = tag
+        return render_prompt(category, chunk, mode, heads)
 
     for (profile, chunk, category), response, error in gateway.complete_stream(
-        jobs(), max_in_flight=max_in_flight
+        jobs(), max_in_flight, render, model, temperature, max_output_tokens
     ):
         profile.requests += 1
         if error is not None:

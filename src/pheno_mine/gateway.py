@@ -3,9 +3,9 @@
 ``LlmGateway.complete`` consults a content-addressed on-disk cache first and
 retries transient backend failures with exponential backoff, waiting longer
 when a 429 or 5xx response's ``Retry-After`` asks for it. ``complete_stream``
-looks a window of requests up in the cache at once, fans the misses out with a
-bounded number in flight and yields each result, or its failure, in input
-order.
+looks a window of jobs up in the cache at once, builds requests only for the
+misses, fans them out with a bounded number in flight and yields each result,
+or its failure, in input order.
 """
 
 from __future__ import annotations
@@ -43,15 +43,17 @@ DEFAULT_MAX_OUTPUT_TOKENS = 64
 API_KEY_ENV_VAR = "PHENO_MINE_API_KEY"
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_BASE = 1.0
-# Requests per cache query, and most outstanding per worker on the threaded
-# path. The window is refilled only once it has drained to half, so a worker
-# always finds the next request queued, also while the oldest is retried, and
-# the caller draws (renders) requests in batches: drawing one request after
+# Jobs per cache query, and most requests outstanding per worker on the
+# threaded path. The window is refilled only once it has drained to half, so a
+# worker always finds the next request queued, also while the oldest is
+# retried, and jobs are drawn (and rendered) in batches: drawing one after
 # every result made a 2-in-flight loopback HTTP run measurably slower.
 WINDOW_PER_WORKER = 64
-# Cache-key headers memoised, one per (backend, max_tokens, model, temperature);
-# a run uses one.
-KEY_MEMO_SIZE = 64
+# Cache-key hash states memoised, one per (backend, max_tokens, model,
+# temperature, head); a run uses one per category head and one for whole prompts.
+KEY_MEMO_SIZE = 256
+# Shared hit responses a stream keeps, by reply text; cleared when full.
+RESPONSE_MEMO_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -64,14 +66,15 @@ class CompletionRequest:
     def __post_init__(self):
         if not self.prompt:
             raise ParameterError("prompt must be non-empty")
-        if not 0 <= self.temperature < math.inf:  # also false for nan
-            raise ParameterError(
-                f"temperature must be a finite number >= 0, got {self.temperature}"
-            )
-        if self.max_output_tokens < 1:
-            raise ParameterError(
-                f"max_output_tokens must be >= 1, got {self.max_output_tokens}"
-            )
+        _check_settings(self.temperature, self.max_output_tokens)
+
+
+def _check_settings(temperature, max_output_tokens):
+    """Raise ParameterError for a temperature or output limit that no request may carry."""
+    if not 0 <= temperature < math.inf:  # also false for nan
+        raise ParameterError(f"temperature must be a finite number >= 0, got {temperature}")
+    if max_output_tokens < 1:
+        raise ParameterError(f"max_output_tokens must be >= 1, got {max_output_tokens}")
 
 
 @dataclass(frozen=True)
@@ -282,18 +285,18 @@ class ResponseCache:
         self._store = ResponseStore(Path(directory) / "responses.sqlite")
 
     @staticmethod
-    def key(backend_id: str, request: CompletionRequest) -> str:
-        """sha256 of the request's header line, then the prompt as UTF-8."""
-        header = _key_header(
-            backend_id, request.max_output_tokens, request.model, request.temperature
+    def key(backend_id: str, request: CompletionRequest) -> bytes:
+        """The 32-byte sha256 of the request's header line, then its prompt as UTF-8."""
+        state = _key_state(
+            backend_id, request.max_output_tokens, request.model, request.temperature, ""
         )
-        return hashlib.sha256(header + request.prompt.encode("utf-8")).hexdigest()
+        return _digest(state, request.prompt)
 
     def get(self, keys: list) -> list:
         """The reply cached under each key, in order; None for a miss."""
         return self._store.get(keys)
 
-    def put(self, key: str, text: str):
+    def put(self, key: bytes, text: str):
         self._store.put(key, text)
 
     def close(self):
@@ -301,14 +304,24 @@ class ResponseCache:
 
 
 @functools.lru_cache(maxsize=KEY_MEMO_SIZE)
-def _key_header(backend_id: str, max_tokens: int, model: str, temperature) -> bytes:
-    """The JSON array of backend, max_tokens, model and temperature, and a newline.
+def _key_state(backend_id: str, max_tokens: int, model: str, temperature, head: str):
+    """sha256 fed the header line and then ``head``; callers copy it, never update it.
 
-    No JSON text holds a raw newline, so the header ends at the first one. The
-    numbers are canonical, since the memo takes 0, 0.0 and -0.0 for one key.
+    The header is the JSON array of backend, max_tokens, model and temperature,
+    and a newline. No JSON text holds a raw newline, so the header ends at the
+    first one. The numbers are canonical, since the memo takes 0, 0.0 and -0.0
+    for one key. A prompt is a head plus a text, and sha256 streams, so a copy
+    of the head's state fed the text gives the whole prompt's key.
     """
     fields = [backend_id, int(max_tokens), model, float(temperature) + 0.0]
-    return (json.dumps(fields) + "\n").encode("utf-8")
+    return hashlib.sha256((json.dumps(fields) + "\n" + head).encode("utf-8"))
+
+
+def _digest(state, text: str) -> bytes:
+    """The digest of ``state`` fed ``text`` as UTF-8; ``state`` itself is left as it was."""
+    state = state.copy()
+    state.update(text.encode("utf-8"))
+    return state.digest()
 
 
 class LlmGateway:
@@ -370,46 +383,78 @@ class LlmGateway:
             f"backend failed after {self.max_attempts} attempts: {last_error}"
         ) from last_error
 
-    def complete_stream(self, jobs, max_in_flight: int = 4):
-        """Complete ``(tag, request)`` pairs, yielding ``(tag, response, error)``.
+    def complete_stream(
+        self, jobs, max_in_flight: int = 4, render=None, model: str = DEFAULT_MODEL,
+        temperature: float = 0.0, max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
+    ):
+        """Complete ``(tag, head, text)`` jobs, yielding ``(tag, response, error)``.
 
-        Results come back in input order. A failed request yields
-        ``(tag, None, message)`` and the stream goes on. ``jobs`` is consumed
-        lazily. With a cache, a window of ``WINDOW_PER_WORKER`` requests is looked
-        up in one query (a failed one fails the window) and its hits are yielded
-        as they are; each miss goes to ``complete``, whose own lookup serves a
-        copy completed meanwhile. A backend that never waits completes each miss
+        A job's prompt is ``head + text``; ``render(tag)``, when given, builds it
+        instead and must return the same string. Every request carries ``model``,
+        ``temperature`` and ``max_output_tokens``, checked once here. Results come
+        back in input order. A failed request yields ``(tag, None, message)`` and
+        the stream goes on. ``jobs`` is consumed lazily. With a cache, a window of
+        ``WINDOW_PER_WORKER`` jobs is looked up in one query (a failed one fails the
+        window), each key a copy of the memoised state of its header and head fed
+        the text. A hit renders nothing and yields the stream's one response for
+        its reply text. Only a miss becomes a ``CompletionRequest``, which goes to
+        ``complete``, whose own lookup serves a copy completed meanwhile; without
+        a cache every job does. A backend that never waits completes each request
         inline; any other gets ``max_in_flight`` worker threads with at most
         ``WINDOW_PER_WORKER`` requests per worker outstanding.
         """
         if max_in_flight < 1:
             raise ParameterError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        jobs = self._looked_up(iter(jobs)) if self.cache else ((*job, None) for job in jobs)
+        _check_settings(temperature, max_output_tokens)
+
+        def request_of(tag, head, text):
+            prompt = head + text if render is None else render(tag)
+            return CompletionRequest(prompt, model, temperature, max_output_tokens)
+
+        if self.cache:
+            key_state = functools.partial(
+                _key_state, self.backend.backend_id, max_output_tokens, model, temperature
+            )
+            jobs = self._looked_up(iter(jobs), key_state, request_of)
+        else:
+            jobs = ((job[0], request_of(*job), None) for job in jobs)
         if getattr(self.backend, "never_waits", False):
             return (
-                _settled(tag, hit or functools.partial(self.complete, request))
-                for tag, request, hit in jobs
+                _settled(tag, found or functools.partial(self.complete, request))
+                for tag, request, found in jobs
             )
         return self._stream_threaded(jobs, max_in_flight)
 
-    def _looked_up(self, jobs):
-        """``(tag, request, hit)`` per job: ``hit()`` replays the cache or raises; None: a miss."""
+    def _looked_up(self, jobs, key_state, request_of):
+        """``(tag, request, found)`` per job: a miss's request and None, or None and the hit's
+        response or the failed lookup's exception."""
+        responses: dict = {}  # reply text -> the response every hit on it shares
         while window := list(itertools.islice(jobs, WINDOW_PER_WORKER)):
-            keys = [ResponseCache.key(self.backend.backend_id, request) for _, request in window]
+            keys = [_digest(key_state(head), text) for _, head, text in window]
             try:
                 texts = self.cache.get(keys)
             except Exception as exc:  # noqa: BLE001 - reported per request
                 texts = [exc] * len(window)
-            for (tag, request), text in zip(window, texts):
-                yield tag, request, None if text is None else functools.partial(_replay, text)
+            for job, text in zip(window, texts):
+                if text is None:
+                    yield job[0], request_of(*job), None
+                elif isinstance(text, Exception):
+                    yield job[0], None, text
+                else:
+                    response = responses.get(text)
+                    if response is None:
+                        if len(responses) >= RESPONSE_MEMO_LIMIT:
+                            responses.clear()
+                        response = responses[text] = CompletionResponse(text, True, 0.0)
+                    yield job[0], None, response
 
     def _stream_threaded(self, jobs, max_in_flight: int):
         window: deque = deque()
         limit = max_in_flight * WINDOW_PER_WORKER
         pool = ThreadPoolExecutor(max_workers=max_in_flight)
         try:
-            for tag, request, hit in jobs:
-                window.append((tag, hit or pool.submit(self.complete, request).result))
+            for tag, request, found in jobs:
+                window.append((tag, found or pool.submit(self.complete, request).result))
                 if len(window) >= limit:
                     while len(window) > limit // 2:
                         yield _settled(*window.popleft())
@@ -419,16 +464,17 @@ class LlmGateway:
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _replay(found) -> CompletionResponse:
-    """The response of a cached reply; a failed lookup's error is raised."""
-    if isinstance(found, Exception):
-        raise found
-    return CompletionResponse(text=found, cached=True, latency_ms=0.0)
+def _settled(tag, outcome):
+    """``(tag, response, None)``, or ``(tag, None, message)`` for a failure.
 
-
-def _settled(tag, result):
-    """``(tag, result(), None)``, or ``(tag, None, message)`` when ``result()`` raises."""
+    ``outcome`` is a response, the exception of a failed lookup, or a call that
+    returns a response or raises.
+    """
+    if isinstance(outcome, CompletionResponse):
+        return tag, outcome, None
+    if isinstance(outcome, Exception):
+        return tag, None, str(outcome)
     try:
-        return tag, result(), None
+        return tag, outcome(), None
     except Exception as exc:  # noqa: BLE001 - reported per request
         return tag, None, str(exc)

@@ -39,7 +39,7 @@ def _body(category: PhenotypeCategory) -> str:
     return _TEMPLATE.format(phrase=category.phrase(), candidates=candidate_phrase(category))
 
 
-def _head(category: PhenotypeCategory, mode: str) -> str:
+def prompt_head(category: PhenotypeCategory, mode: str) -> str:
     """Everything a prompt holds before the note text; fixed per category and mode."""
     if mode == "zero_shot":
         return f"{_body(category)} {NOTE_MARKER} "
@@ -64,7 +64,7 @@ def render_prompt(
     heads = {} if heads is None else heads
     key = category.key()
     if key not in heads:
-        heads[key] = _head(category, mode)
+        heads[key] = prompt_head(category, mode)
     return heads[key] + (chunk.text if isinstance(chunk, Chunk) else chunk)
 
 

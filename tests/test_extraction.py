@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sqlite3
 import tempfile
 import tracemalloc
 from contextlib import closing
@@ -19,13 +20,18 @@ from pheno_mine.extraction import (
     extract_notes,
     normalize_token,
     parse_response,
-    plan_requests,
     write_reject_log,
 )
 from pheno_mine.chunking import chunk_text
 from pheno_mine.cli import data_path, main
-from pheno_mine.errors import TransientBackendError
-from pheno_mine.gateway import WINDOW_PER_WORKER, LlmGateway, MockBackend, MockRuleTable
+from pheno_mine.errors import ParameterError, TransientBackendError
+from pheno_mine.gateway import (
+    WINDOW_PER_WORKER,
+    CompletionRequest,
+    LlmGateway,
+    MockBackend,
+    MockRuleTable,
+)
 from pheno_mine.schema import builtin_list, feature_index, parse_phenotype_list
 
 COMBINED = builtin_list("combined")
@@ -121,21 +127,31 @@ def test_parse_response_never_raises_and_stays_in_its_category(text, category):
     assert all(isinstance(token, str) and token for token in rejects)
 
 
-def test_plan_requests_is_chunk_by_category(combined):
-    chunks = chunk_text("First sentence here. Second sentence here.", 6, "N1")
+def counted_renders(monkeypatch) -> list:
+    """Patch ``extraction.render_prompt`` to count its calls into the returned list."""
+    calls = []
+    real_render = extraction.render_prompt
+
+    def counting_render(*args, **kwargs):
+        calls.append(args)
+        return real_render(*args, **kwargs)
+
+    monkeypatch.setattr(extraction, "render_prompt", counting_render)
+    return calls
+
+
+def test_extract_plans_chunk_by_category(mock_gateway, combined, monkeypatch):
+    # an uncached run renders every request, in the order extract_notes plans them
+    text = "First sentence here. Second sentence here."
+    chunks = chunk_text(text, 6, "N1")
     assert len(chunks) == 2
-    plan = list(plan_requests(chunks, combined))
-    assert len(plan) == 2 * len(combined.categories)
+    renders = counted_renders(monkeypatch)
+    extract_notes([NoteRecord("N1", "P1", text)], combined, mock_gateway, chunk_budget=6)
+    plan = [(chunk, category, mode) for category, chunk, mode, _ in renders]
     # deterministic order: chunk-major, category-minor
-    first_block = plan[: len(combined.categories)]
-    assert all(chunk is chunks[0] for chunk, _, _ in first_block)
-    assert [cat.name for _, cat, _ in first_block] == [
-        c.name for c in combined.categories
+    assert plan == [
+        (chunk, category, "zero_shot") for chunk in chunks for category in combined.categories
     ]
-    assert all(
-        request.prompt == prompts.render_prompt(category, chunk, "zero_shot")
-        for chunk, category, request in plan
-    )
 
 
 def test_extract_note_unions_chunks(mock_gateway, combined):
@@ -227,6 +243,86 @@ def test_a_warm_run_reads_the_cache_one_window_at_a_time(combined, demo_notes, t
     assert warm_rows == cold_rows
     selects = [s for s in statements if s.startswith("SELECT")]
     assert len(selects) == len(statements) == -(-requests // WINDOW_PER_WORKER)
+
+
+def mock_cache_gateway(plist, cache_dir):
+    table = MockRuleTable.from_csv(data_path("mock_rules.csv"))
+    return LlmGateway(MockBackend(table, plist), cache_dir=cache_dir)
+
+
+def test_a_cache_hit_renders_no_prompt(combined, demo_notes, tmp_path, monkeypatch):
+    renders = counted_renders(monkeypatch)
+    runs = []
+    for _ in range(2):  # cold, then warm
+        renders.clear()
+        with closing(mock_cache_gateway(combined, tmp_path)) as gateway:
+            profiles, failures = extract_notes(demo_notes, combined, gateway)
+        assert failures == 0
+        runs.append(
+            (len(renders), sum(p.requests for p in profiles), sum(p.cache_hits for p in profiles))
+        )
+    (cold_renders, requests, cold_hits), warm = runs
+    assert requests > WINDOW_PER_WORKER
+    assert (cold_renders, cold_hits) == (requests, 0)
+    assert warm == (0, requests, requests)
+
+
+def test_a_cache_filled_one_request_at_a_time_serves_every_request(
+    combined, demo_notes, tmp_path
+):
+    settings = {"model": "m", "temperature": 0.5, "max_output_tokens": 16}
+    with closing(mock_cache_gateway(combined, tmp_path)) as gateway:
+        for note in demo_notes:
+            for chunk in chunk_text(note.text, 60, note.note_id):
+                for category in combined.categories:
+                    prompt = prompts.render_prompt(category, chunk, "few_shot")
+                    gateway.complete(CompletionRequest(prompt, **settings))
+        profiles, failures = extract_notes(
+            demo_notes, combined, gateway, mode="few_shot", chunk_budget=60, **settings
+        )
+    requests = sum(p.requests for p in profiles)
+    assert failures == 0 and sum(p.cache_hits for p in profiles) == requests > WINDOW_PER_WORKER
+
+
+@pytest.mark.parametrize("bad", [{"temperature": float("nan")}, {"max_output_tokens": 0}])
+def test_bad_settings_raise_on_a_warm_cache(combined, demo_notes, tmp_path, monkeypatch, bad):
+    with closing(mock_cache_gateway(combined, tmp_path)) as gateway:
+        extract_notes(demo_notes, combined, gateway)
+        renders = counted_renders(monkeypatch)
+        with pytest.raises(ParameterError):
+            extract_notes(demo_notes, combined, gateway, **bad)
+    assert renders == []
+
+
+def test_a_failed_window_query_fails_only_its_requests(combined, demo_notes, tmp_path):
+    planned = [
+        (note.note_id, chunk.chunk_index, category.key())
+        for note in demo_notes
+        for chunk in chunk_text(note.text, 40, note.note_id)
+        for category in combined.categories
+    ]
+    assert len(planned) > 3 * WINDOW_PER_WORKER
+    with closing(mock_cache_gateway(combined, tmp_path)) as gateway:
+        cold, _ = extract_notes(demo_notes, combined, gateway, chunk_budget=40)
+        store_get = gateway.cache._store.get
+        calls = []
+
+        def get(keys):  # the second window's query fails, as a damaged store would
+            calls.append(len(keys))
+            if len(calls) == 2:
+                raise sqlite3.DatabaseError("database disk image is malformed")
+            return store_get(keys)
+
+        gateway.cache._store.get = get
+        profiles, failures = extract_notes(demo_notes, combined, gateway, chunk_budget=40)
+    failed = [(p.note_id, *cell) for p in profiles for cell in p.incomplete]
+    assert failed == planned[WINDOW_PER_WORKER : 2 * WINDOW_PER_WORKER]
+    assert failures == WINDOW_PER_WORKER
+    assert sum(p.cache_hits for p in profiles) == len(planned) - WINDOW_PER_WORKER
+    untouched = {note_id for note_id, _, _ in planned} - {note_id for note_id, _, _ in failed}
+    assert [p.row for p in profiles if p.note_id in untouched] == [
+        p.row for p in cold if p.note_id in untouched
+    ]
 
 
 def test_a_repeated_reply_logs_rejects_for_each_of_its_cells(combined):

@@ -44,8 +44,11 @@ from pheno_mine.gateway import (
     MockRuleTable,
     ResponseCache,
     WINDOW_PER_WORKER,
+    _digest,
+    _key_state,
 )
-from pheno_mine.prompts import render_zero_shot
+from pheno_mine.prompts import prompt_head, render_zero_shot
+from pheno_mine.schema import builtin_list
 
 
 def request_for(category, text, **kwargs):
@@ -180,13 +183,13 @@ def test_cache_key_depends_on_prompt_model_temperature():
 @pytest.mark.parametrize("first", [0, 0.0, -0.0])
 def test_cache_key_is_one_for_every_spelling_of_zero(first):
     # whichever spelling the memo sees first, the others get the same header
-    pheno_mine.gateway._key_header.cache_clear()
+    pheno_mine.gateway._key_state.cache_clear()
     keys = [
         ResponseCache.key("x", CompletionRequest(prompt="p", temperature=t))
         for t in (first, 0, 0.0, -0.0)
     ]
     assert len(set(keys)) == 1
-    assert keys[0] == cache_key_oracle("x", CompletionRequest(prompt="p", temperature=0.0))
+    assert keys[0].hex() == cache_key_oracle("x", CompletionRequest(prompt="p", temperature=0.0))
 
 
 # quotes, backslashes, control characters, non-ASCII and astral characters
@@ -214,7 +217,54 @@ def test_cache_key_equals_the_one_shot_oracle(prompt, backend_id, model, tempera
     request = CompletionRequest(
         prompt=prompt, model=model, temperature=temperature, max_output_tokens=max_output_tokens
     )
-    assert ResponseCache.key(backend_id, request) == cache_key_oracle(backend_id, request)
+    assert ResponseCache.key(backend_id, request).hex() == cache_key_oracle(backend_id, request)
+
+
+def head_key(backend_id, request, head):
+    """The key of a request whose prompt starts with ``head``, from the state memoised for it."""
+    state = _key_state(
+        backend_id, request.max_output_tokens, request.model, request.temperature, head
+    )
+    return _digest(state, request.prompt[len(head) :])
+
+
+# every bundled category's zero-shot and few-shot head; combined holds both lists
+BUNDLED_HEADS = [
+    prompt_head(category, mode)
+    for category in builtin_list("combined").categories
+    for mode in ("zero_shot", "few_shot")
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    head=st.one_of(st.just(""), st.sampled_from(BUNDLED_HEADS), KEY_TEXT),
+    text=KEY_TEXT,
+    backend_id=st.one_of(st.sampled_from(["mock", "http"]), KEY_TEXT),
+    temperature=st.one_of(
+        st.sampled_from([0, 0.0, -0.0]), st.floats(min_value=0, max_value=2, allow_nan=False)
+    ),
+    max_output_tokens=st.integers(min_value=1, max_value=4096),
+)
+def test_head_state_key_equals_the_one_shot_oracle(
+    head, text, backend_id, temperature, max_output_tokens
+):
+    if not head + text:
+        return  # no request has an empty prompt
+    request = CompletionRequest(head + text, DEFAULT_MODEL, temperature, max_output_tokens)
+    assert head_key(backend_id, request, head).hex() == cache_key_oracle(backend_id, request)
+    assert head_key(backend_id, request, head) == ResponseCache.key(backend_id, request)
+
+
+@pytest.mark.parametrize("first", [0, 0.0, -0.0])
+def test_every_bundled_head_keys_as_its_whole_prompt(first):
+    # whichever spelling of zero the memo sees first, every head's state gives the oracle's key
+    pheno_mine.gateway._key_state.cache_clear()
+    for head in BUNDLED_HEADS:
+        for text in ("Seen for memory loss.", "é 𝄞\n\"quoted\""):
+            for temperature in (first, 0, 0.0, -0.0):
+                request = CompletionRequest(head + text, temperature=temperature)
+                assert head_key("mock", request, head).hex() == cache_key_oracle("mock", request)
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path, combined, caplog):
@@ -253,7 +303,7 @@ def test_cache_round_trips_any_text_exactly(text):
         assert reopened.get([key]) == [text]
         reopened.close()
         # a row is the key's digest and the text itself
-        assert rows(directory) == {key: text}
+        assert rows(directory) == {key.hex(): text}
         assert os.listdir(directory) == ["responses.sqlite"]
 
 
@@ -282,7 +332,7 @@ def test_cache_survives_concurrent_writes_of_one_prompt(tmp_path, caplog):
     # 100 distinct prompts, each 8 times in a row, 8 in flight on a fresh
     # cache: threads finishing the same prompt write the same entry at once.
     gateway = LlmGateway(EchoBackend(), cache_dir=tmp_path / "cache")
-    jobs = [(i, CompletionRequest(prompt=f"prompt {i // 8}")) for i in range(800)]
+    jobs = [(i, "prompt ", str(i // 8)) for i in range(800)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -304,7 +354,7 @@ def test_two_gateways_share_one_cache_directory(tmp_path):
     # as another process would: a write that gave up on the lock would fail
     # its request with "database is locked".
     cache_dir = tmp_path / "cache"
-    jobs = [(i, CompletionRequest(prompt=f"prompt {i}")) for i in range(1000)]
+    jobs = [(i, "prompt ", str(i)) for i in range(1000)]
     results = {}
     first = LlmGateway(EchoBackend(), cache_dir=cache_dir)
     second = LlmGateway(EchoBackend(), cache_dir=cache_dir)
@@ -413,7 +463,7 @@ def test_batch_preserves_order_and_reports_failures(combined):
         backend = EvenFailBackend()
         backend.never_waits = never_waits
         gateway = LlmGateway(backend, sleep=lambda _: None)
-        jobs = ((i, CompletionRequest(prompt=f"req {i}")) for i in range(count))
+        jobs = ((i, "req ", str(i)) for i in range(count))
         results = list(gateway.complete_stream(jobs, max_in_flight=in_flight))
         assert [tag for tag, _, _ in results] == list(range(count))
         for i, response, error in results:
@@ -447,7 +497,7 @@ class PromptBackend:
 )
 def test_stream_agrees_with_one_request_at_a_time(picks, cached, failing):
     prompts = [f"p{i}" for i in range(12)]
-    jobs = [(tag, CompletionRequest(prompt=prompts[i])) for tag, i in enumerate(picks)]
+    jobs = [(tag, "p", str(i)) for tag, i in enumerate(picks)]
 
     def run(never_waits, stream):
         backend = PromptBackend({prompts[i] for i in failing}, never_waits)
@@ -462,8 +512,9 @@ def test_stream_agrees_with_one_request_at_a_time(picks, cached, failing):
                     results = list(gateway.complete_stream(iter(jobs), max_in_flight=1))
                 else:
                     results = []
-                    for tag, request in jobs:
+                    for tag, head, text in jobs:
                         try:
+                            request = CompletionRequest(prompt=head + text)
                             results.append((tag, gateway.complete(request), None))
                         except BackendError as exc:
                             results.append((tag, None, str(exc)))
@@ -481,7 +532,7 @@ def test_stream_agrees_with_one_request_at_a_time(picks, cached, failing):
 @pytest.mark.parametrize("never_waits", [True, False])
 def test_failed_lookup_fails_its_window_and_the_stream_goes_on(tmp_path, never_waits):
     backend = PromptBackend(set(), never_waits)
-    jobs = [(i, CompletionRequest(prompt=f"p{i}")) for i in range(WINDOW_PER_WORKER + 5)]
+    jobs = [(i, "p", str(i)) for i in range(WINDOW_PER_WORKER + 5)]
     with closing(LlmGateway(backend, cache_dir=tmp_path)) as gateway:
         store_get = gateway.cache._store.get
         calls = []
@@ -501,6 +552,17 @@ def test_failed_lookup_fails_its_window_and_the_stream_goes_on(tmp_path, never_w
     assert all(r.text == f"echo p{tag}" and e is None for tag, r, e in results[WINDOW_PER_WORKER:])
     # one query per window, then one per miss as it is completed
     assert calls == [WINDOW_PER_WORKER, 5, 1, 1, 1, 1, 1]
+
+
+def test_hits_share_one_response_per_reply_text(tmp_path):
+    backend = PromptBackend(set(), never_waits=True)
+    jobs = [(i, "p", str(i % 3)) for i in range(2 * WINDOW_PER_WORKER)]
+    with closing(LlmGateway(backend, cache_dir=tmp_path)) as gateway:
+        cold = list(gateway.complete_stream(jobs))
+        warm = list(gateway.complete_stream(jobs))
+    assert [(tag, r.text) for tag, r, _ in warm] == [(tag, r.text) for tag, r, _ in cold]
+    assert all(r.cached and e is None for _, r, e in warm)
+    assert len({id(r) for _, r, _ in warm}) == 3
 
 
 def test_batch_rejects_bad_parallelism(mock_gateway):
