@@ -180,20 +180,24 @@ class ResponseStore:
                 db.close()
             raise ConfigError(f"cannot open the response cache {path}: {exc}") from exc
         self._db = db
+        self._warned: set[bytes] = set()  # corrupt entries warned about once, until rewritten
 
     def get(self, keys: list) -> list:
         """The text stored under each key digest, in order: None for a miss or a corrupt entry."""
         with self._lock:
             found = dict(self._db.execute(GET_REPLIES.format(",".join("?" * len(keys))), keys))
-        for digest, text in found.items():
-            if not isinstance(text, str):  # only a BLOB gets past TEXT affinity
-                logger.warning("ignoring corrupt cache entry %s", digest.hex())
-                found[digest] = None
+            for digest, text in found.items():
+                if not isinstance(text, str):  # only a BLOB gets past TEXT affinity
+                    if digest not in self._warned:
+                        self._warned.add(digest)
+                        logger.warning("ignoring corrupt cache entry %s", digest.hex())
+                    found[digest] = None
         return [found.get(key) for key in keys]
 
     def put(self, key: bytes, text: str):
         with self._lock:
             self._db.execute(PUT_REPLY, (key, text))
+            self._warned.discard(key)
 
     def close(self):
         with self._lock:

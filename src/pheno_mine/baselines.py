@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
-from .artifacts import parse_json, read_csv_rows, read_lines
+from .artifacts import parse_json, read_csv, read_lines
 from .cohort import NoteRecord, UNLABELED
 from .errors import BaselineError, ParameterError
 from .features import FeatureMatrix
@@ -55,12 +55,16 @@ class ConceptDictionary:
     min_term_length: int
     # concept id -> note count from the most recent corpus scan
     document_frequency: dict = field(default_factory=dict)
+    # token tuple -> concept id, one entry per term; derived from ``terms`` when not given
+    term_tokens: dict = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.term_tokens is None:
+            self.term_tokens = {tuple(term.split()): c for term, c in self.terms.items()}
 
     @property
     def max_term_tokens(self) -> int:
-        if not self.terms:
-            return 1
-        return max(len(t.split()) for t in self.terms)
+        return max(map(len, self.term_tokens), default=1)
 
 
 def build_dictionary(
@@ -71,10 +75,19 @@ def build_dictionary(
     Duplicate normalized terms keep the first concept id with a warning.
     """
     terms: dict[str, str] = {}
-    rows = read_csv_rows(term_file, BaselineError, "term file", ("term", "concept_id"))
-    for lineno, row in rows:
-        term = normalize_term(row["term"] or "")
-        concept = (row["concept_id"] or "").strip()
+    term_tokens: dict[tuple, str] = {}
+    # field lists, as a dict per record would cost what the token tuples do;
+    # like such a dict, ``at`` gives a repeated column name its last position
+    records = read_csv(term_file, BaselineError, "term file", ("term", "concept_id"))
+    _, header = next(records)
+    at = {name: i for i, name in enumerate(header)}
+    term_at, concept_at = at["term"], at["concept_id"]
+    for lineno, fields in records:
+        if len(fields) < len(header):
+            fields += [""] * (len(header) - len(fields))  # a short record's missing fields
+        tokens = tuple(_tokenize(fields[term_at]))
+        term = " ".join(tokens)
+        concept = fields[concept_at].strip()
         if not term or not concept:
             logger.warning("%s:%d: skipping row with empty term or concept", term_file, lineno)
             continue
@@ -87,10 +100,10 @@ def build_dictionary(
                 term_file, lineno, term, terms[term],
             )
             continue
-        terms[term] = _column_safe(concept)
+        terms[term] = term_tokens[tokens] = _column_safe(concept)
     if not terms:
         logger.warning("term file %s produced an empty dictionary", term_file)
-    return ConceptDictionary(terms=terms, min_term_length=min_term_length)
+    return ConceptDictionary(terms=terms, min_term_length=min_term_length, term_tokens=term_tokens)
 
 
 def _concept_columns(concepts: list) -> list:
@@ -106,7 +119,7 @@ def _note_grams(tokens: list, max_n: int) -> Iterable:
 
 
 def _note_concepts_exact(tokens: list, dictionary: ConceptDictionary, max_n: int) -> set:
-    found = set(map(dictionary.terms.get, map(" ".join, _note_grams(tokens, max_n))))
+    found = set(map(dictionary.term_tokens.get, _note_grams(tokens, max_n)))
     found.discard(None)
     return found
 
@@ -121,8 +134,23 @@ def _min_overlap(size: int, threshold: float) -> int:
     return next(k for k in range(1, size + 1) if k / size >= threshold)
 
 
-# Distinct grams whose matches one index remembers: at about 110 bytes an
-# entry, a memo stays under 7 MB however many notes a run scans.
+class _Rank(dict):
+    """Token -> rank; a token in no term ranks -1, below all others."""
+
+    def __missing__(self, token):
+        return -1
+
+    def lowest(self, tokens: frozenset, count: int) -> Iterable:
+        """The ``count`` lowest-ranked of ``tokens``."""
+        if count == 1:
+            return (min(tokens, key=self.__getitem__),)
+        return sorted(tokens, key=self.__getitem__)[:count]
+
+
+# Entries each of an index's two memos holds. With every token a distinct
+# 7-letter word, full memos kept 7.2 MB of grams and 11.0 MB of windows, and
+# 16.3 MB together, as their keys share token strings, so they stay under
+# 17 MB however many notes a run scans.
 GRAM_MEMO_LIMIT = 1 << 16
 
 
@@ -138,17 +166,19 @@ class _JaccardIndex:
     filter and the exact Jaccard test, and the matches are exactly those of
     comparing every gram with every term.
 
-    A gram's matches depend on the gram alone, so the index memoises them by
-    gram tuple across every note it scans. The memo holds at most
-    ``GRAM_MEMO_LIMIT`` grams and starts over when full.
+    Each gram of a note is a prefix of the window of up to ``MAX_NGRAM`` tokens
+    that starts where it does, so a note is walked by its start windows. Across
+    every note it scans, the index memoises each window's matches (the union of
+    its prefixes') and, for a window it misses, each prefix gram's. Each memo
+    holds at most ``GRAM_MEMO_LIMIT`` entries and starts over when full.
     """
 
     def __init__(self, dictionary: ConceptDictionary, threshold: float):
         self.threshold = threshold
-        term_sets = [(frozenset(term.split()), c) for term, c in dictionary.terms.items()]
+        term_sets = [(frozenset(tokens), c) for tokens, c in dictionary.term_tokens.items()]
         frequency = Counter(token for term_set, _ in term_sets for token in term_set)
         ordered = sorted(frequency, key=lambda token: (frequency[token], token))
-        self.rank = {token: position for position, token in enumerate(ordered)}
+        self.rank = _Rank((token, position) for position, token in enumerate(ordered))
         # probe length by set size, of a term or of a gram (at most MAX_NGRAM
         # distinct tokens); an empty token set has Jaccard 0 with every gram,
         # so it is never indexed
@@ -159,39 +189,52 @@ class _JaccardIndex:
         self.postings: dict[str, list] = {}
         for term_set, concept in term_sets:
             if term_set:
-                by_rank = sorted(term_set, key=self.rank.__getitem__)
-                for token in by_rank[: self.prefix[len(term_set)]]:
-                    self.postings.setdefault(token, []).append((len(term_set), term_set, concept))
+                entry = (len(term_set), term_set, concept)
+                for token in self.rank.lowest(term_set, self.prefix[len(term_set)]):
+                    self.postings.setdefault(token, []).append(entry)
         self.memo: dict[tuple, tuple] = {}
+        self.window_memo: dict[tuple, tuple] = {}
 
     def note_concepts(self, tokens: list) -> set:
         """Concepts with a term at Jaccard >= threshold to some n-gram (n <= 5) of ``tokens``."""
-        memo = self.memo
-        rank = self.rank.get
-        postings = self.postings
-        threshold = self.threshold
-        grams = set(_note_grams(tokens, MAX_NGRAM))
+        memo, window_memo = self.memo, self.window_memo
+        ordered = tuple(tokens)
+        # a window from each position, cut short only by the note's end
+        tail = range(max(len(ordered) - MAX_NGRAM + 1, 0), len(ordered))
+        windows = [*zip(*(ordered[k:] for k in range(MAX_NGRAM))), *(ordered[i:] for i in tail)]
         # the hits are gathered first, since storing a miss may clear the memo
-        found: set[str] = set().union(*filter(None, map(memo.get, grams)))
-        for gram in grams.difference(memo):
-            # a miss: its matches, from the gram alone
-            gram_set = frozenset(gram)
-            size = len(gram_set)
-            by_rank = sorted(gram_set, key=lambda token: rank(token, -1))
-            matched: tuple = ()
-            for token in by_rank[: self.prefix[size]]:
-                for term_size, term_set, concept in postings.get(token, ()):
-                    if concept in matched or min(size, term_size) / max(size, term_size) < threshold:
-                        continue
-                    # the union's size is the same integer as len(gram_set | term_set)
-                    overlap = len(gram_set & term_set)
-                    if overlap / (size + term_size - overlap) >= threshold:
-                        matched += (concept,)
-            if len(memo) >= GRAM_MEMO_LIMIT:
-                memo.clear()
-            memo[gram] = matched
-            found.update(matched)
+        matches = list(map(window_memo.get, windows))
+        found: set[str] = set().union(*filter(None, matches))
+        for window in {w for w, m in zip(windows, matches) if m is None}:
+            union: tuple = ()  # most prefixes match nothing; a repeat is harmless
+            for n in range(1, len(window) + 1):
+                gram = window[:n]
+                gram_matches = memo.get(gram)
+                if gram_matches is None:
+                    if len(memo) >= GRAM_MEMO_LIMIT:
+                        memo.clear()
+                    memo[gram] = gram_matches = self._gram_matches(gram)
+                union += gram_matches
+            if len(window_memo) >= GRAM_MEMO_LIMIT:
+                window_memo.clear()
+            window_memo[window] = union
+            found.update(union)
         return found
+
+    def _gram_matches(self, gram: tuple) -> tuple:
+        threshold = self.threshold
+        gram_set = frozenset(gram)
+        size = len(gram_set)
+        matched: tuple = ()
+        for token in self.rank.lowest(gram_set, self.prefix[size]):
+            for term_size, term_set, concept in self.postings.get(token, ()):
+                if concept in matched or min(size, term_size) / max(size, term_size) < threshold:
+                    continue
+                # the union's size is the same integer as len(gram_set | term_set)
+                overlap = len(gram_set & term_set)
+                if overlap / (size + term_size - overlap) >= threshold:
+                    matched += (concept,)
+        return matched
 
 
 def extract_dictionary_features(
@@ -202,9 +245,10 @@ def extract_dictionary_features(
 ) -> FeatureMatrix:
     """Scan token n-grams (n <= 5) per note and one-hot the matched concepts.
 
-    At threshold 1.0 matching is exact on normalized n-grams; below 1.0 an
-    n-gram matches a term when their token-set Jaccard similarity reaches the
-    threshold. Concepts found in fewer than min_doc_freq notes are dropped.
+    At threshold 1.0 an n-gram's token tuple is looked up in ``term_tokens``;
+    below 1.0 an n-gram matches a term when their token-set Jaccard similarity
+    reaches the threshold, through one ``_JaccardIndex`` per call, which walks
+    notes by start window. Concepts found in fewer than min_doc_freq notes are dropped.
     The dictionary's document_frequency field records this scan's counts.
     ``notes`` is read once, and of each note only its id, cohort and hits are kept.
     """

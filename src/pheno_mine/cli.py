@@ -284,14 +284,18 @@ def _run_manifest(notes_path, manifest_path, diagnoses_path, sample_per_cohort, 
                 manifest = cohort_mod.sample_cohort(
                     manifest, cohort, sample_per_cohort, seed=seed, draws=draws
                 )
-    known = {n.note_id for n in notes}
-    missing = [e.note_id for e in manifest.entries if e.note_id not in known]
+    _require_notes([e.note_id for e in manifest.entries], {n.note_id for n in notes})
+    return manifest
+
+
+def _require_notes(listed, known: set):
+    """Refuse a manifest that lists a note id the notes file does not hold."""
+    missing = [note_id for note_id in listed if note_id not in known]
     if missing:
         raise ConfigError(
             f"manifest references {len(missing)} note(s) absent from the notes file "
             f"(first: {missing[0]!r})"
         )
-    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +632,7 @@ def baseline_cmd(
         matrix = baselines_mod.extract_dictionary_features(
             notes, dictionary, min_doc_freq=min_doc_freq, similarity_threshold=similarity_threshold
         )
+        _require_notes(cohort_of, set(matrix.note_ids))
         out_path = out / "dictionary_matrix.csv"
         ignored = ("annotations", "min_score")
     else:

@@ -89,6 +89,22 @@ def test_build_dictionary_requires_expected_columns(tmp_path):
         build_dictionary(tmp_path / "empty.csv")
 
 
+def test_build_dictionary_reads_short_long_and_repeated_columns(tmp_path, caplog):
+    path = tmp_path / "terms.csv"
+    path.write_text(
+        "term,concept_id,extra\nmemory loss\nhypertension,C2\n,C3\ntremor of hands,C4,x,y\n"
+    )
+    with caplog.at_level(logging.WARNING):
+        dictionary = build_dictionary(path)
+    # a short record's missing fields are empty; fields past the header are ignored
+    assert dictionary.terms == {"hypertension": "C2", "tremor of hands": "C4"}
+    assert dictionary.term_tokens == {("hypertension",): "C2", ("tremor", "of", "hands"): "C4"}
+    assert sum("empty term or concept" in r.message for r in caplog.records) == 2
+    # a repeated column name reads its last column
+    path.write_text("term,concept_id,term\nignored words,C1,memory loss\n")
+    assert build_dictionary(path).terms == {"memory loss": "C1"}
+
+
 def test_build_dictionary_max_term_tokens(tmp_path):
     path = write_terms(
         tmp_path, [("memory loss", "C1"), ("mini mental status exam score", "C2")]
@@ -221,6 +237,17 @@ term_dictionaries = st.dictionaries(
     max_size=12,
 )
 note_tokens = st.lists(st.sampled_from(TERM_TOKENS + ["x0", "x1"]), max_size=30)
+# notes of one run that repeat phrases, so they share start windows across
+# and within notes, mixed with notes shorter than a window and empty ones
+run_notes = st.lists(note_tokens, min_size=1, max_size=4).flatmap(
+    lambda phrases: st.lists(
+        st.one_of(
+            st.lists(st.sampled_from(phrases), max_size=4).map(lambda ps: sum(ps, [])),
+            note_tokens.map(lambda tokens: tokens[: baselines.MAX_NGRAM - 1]),
+        ),
+        max_size=6,
+    )
+)
 
 
 @settings(max_examples=400, deadline=None)
@@ -242,19 +269,79 @@ class SizeRecordingDict(dict):
         self.largest = max(self.largest, len(self))
 
 
-@pytest.mark.parametrize("bound", [1, 3])
+@settings(max_examples=300, deadline=None)
+@given(terms=term_dictionaries, notes=run_notes, threshold=thresholds)
+def test_jaccard_window_walk_equals_all_pairs_oracle(terms, notes, threshold):
+    index = baselines._JaccardIndex(ConceptDictionary(terms=terms, min_term_length=0), threshold)
+    # the second pass meets every window from the memo
+    for tokens in notes + notes:
+        expected = note_concepts_jaccard_oracle(tokens, terms, baselines.MAX_NGRAM, threshold)
+        assert index.note_concepts(tokens) == expected
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
 @settings(max_examples=200, deadline=None)
-@given(terms=term_dictionaries, notes=st.lists(note_tokens, max_size=4), threshold=thresholds)
+@given(terms=term_dictionaries, notes=run_notes, threshold=thresholds)
 def test_jaccard_memo_never_exceeds_its_bound(bound, terms, notes, threshold):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(baselines, "GRAM_MEMO_LIMIT", bound)
         index = baselines._JaccardIndex(ConceptDictionary(terms=terms, min_term_length=0), threshold)
         index.memo = SizeRecordingDict()
-        # the second pass meets grams the memo kept, evicted or never held
+        index.window_memo = SizeRecordingDict()
+        # the second pass meets windows and grams the memos kept, evicted or never held
         for tokens in notes + notes:
             expected = note_concepts_jaccard_oracle(tokens, terms, baselines.MAX_NGRAM, threshold)
             assert index.note_concepts(tokens) == expected
             assert index.memo.largest <= bound
+            assert index.window_memo.largest <= bound
+
+
+class QueryCountingDict(dict):
+    """A dict that counts its ``get`` calls."""
+
+    queries = 0
+
+    def get(self, key, default=None):
+        self.queries += 1
+        return super().get(key, default)
+
+
+def test_jaccard_work_per_demo_run(monkeypatch):
+    # each distinct gram of the run is matched once, and the window memo is
+    # queried at most once per token position
+    from pheno_mine.cli import data_path
+    from pheno_mine.cohort import read_notes
+
+    probed, queries = [], []
+
+    class CountingIndex(baselines._JaccardIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.window_memo = QueryCountingDict()
+
+        def note_concepts(self, tokens):
+            before = self.window_memo.queries
+            found = super().note_concepts(tokens)
+            queries.append((self.window_memo.queries - before, len(tokens)))
+            return found
+
+        def _gram_matches(self, gram):
+            probed.append(gram)
+            return super()._gram_matches(gram)
+
+    monkeypatch.setattr(baselines, "_JaccardIndex", CountingIndex)
+    notes = list(read_notes(data_path("demo_notes.jsonl")))
+    dictionary = build_dictionary(data_path("demo_terms.csv"))
+    extract_dictionary_features(notes, dictionary, min_doc_freq=1, similarity_threshold=0.8)
+    grams = {
+        gram
+        for record in notes
+        for gram in baselines._note_grams(baselines._tokenize(record.text), baselines.MAX_NGRAM)
+    }
+    assert len(probed) == len(set(probed)) == len(grams)
+    assert set(probed) == grams
+    assert len(queries) == len(notes)
+    assert all(count <= positions for count, positions in queries)
 
 
 @settings(max_examples=300, deadline=None)

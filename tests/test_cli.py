@@ -1099,6 +1099,29 @@ def test_baseline_dictionary_respects_manifest(runner, tmp_path):
     assert all(l.split(",")[1] in ("CN", "MCI", "ADRD") for l in body)
 
 
+def test_baseline_dictionary_refuses_manifest_notes_absent_from_notes(runner, tmp_path):
+    invoke(runner, "cohort", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--out-dir", tmp_path)
+    manifest = tmp_path / "manifest.csv"
+    with manifest.open("a", encoding="utf-8") as fh:
+        fh.write("GHOST,PX,CN\n")
+    out = tmp_path / "out"
+    result = invoke(
+        runner,
+        "baseline",
+        "--method", "dictionary",
+        "--notes", NOTES,
+        "--terms", data_path("demo_terms.csv"),
+        "--manifest", manifest,
+        "--min-doc-freq", 1,
+        "--out-dir", out,
+        expect=1,
+    )
+    assert result.stderr == (
+        "error: manifest references 1 note(s) absent from the notes file (first: 'GHOST')\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_baseline_ner_attaches_cohorts(runner, tmp_path):
     invoke(runner, "cohort", "--notes", NOTES, "--diagnoses", DIAGNOSES, "--out-dir", tmp_path)
     result = invoke(

@@ -289,6 +289,31 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, combined, caplog):
             assert rows(cache_dir)[key] == "hypertension"
 
 
+def test_corrupt_cache_entry_is_warned_about_once_per_stream(tmp_path, combined, caplog, monkeypatch):
+    backend = MockBackend(MockRuleTable.from_csv(data_path("mock_rules.csv")), combined)
+    cache_dir = tmp_path / "cache"
+    head = prompt_head(combined.category("Comorbidities"), "zero_shot")
+    with closing(LlmGateway(backend, cache_dir=cache_dir)) as gateway:
+        list(gateway.complete_stream([(0, head, "hypertension noted")]))
+        (key,) = rows(cache_dir)
+        with closing(sqlite3.connect(cache_dir / "responses.sqlite")) as db, db:
+            db.execute("UPDATE reply SET text = ?", (b"hypertension",))
+        puts = []
+        store_put = pheno_mine.artifacts.ResponseStore.put
+        monkeypatch.setattr(
+            pheno_mine.artifacts.ResponseStore,
+            "put",
+            lambda store, key, text: puts.append(key) or store_put(store, key, text),
+        )
+        caplog.clear()
+        # the window query and the miss's own lookup in complete both read the corrupt row
+        ((_, resp, error),) = gateway.complete_stream([(0, head, "hypertension noted")])
+    assert error is None and not resp.cached and resp.text == "hypertension"
+    assert [r.getMessage() for r in caplog.records] == [f"ignoring corrupt cache entry {key}"]
+    assert [k.hex() for k in puts] == [key]
+    assert rows(cache_dir)[key] == "hypertension"
+
+
 @settings(max_examples=100, deadline=None)
 @given(text=st.text(st.characters(blacklist_categories=("Cs",))))  # no lone surrogates
 def test_cache_round_trips_any_text_exactly(text):
