@@ -10,12 +10,12 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
-from .artifacts import parse_json, read_csv, read_lines
+from .artifacts import parse_json, read_csv_rows, read_lines
 from .cohort import NoteRecord, UNLABELED
 from .errors import BaselineError, ParameterError
 from .features import FeatureMatrix
@@ -35,82 +35,89 @@ def _tokenize(text: str) -> list:
     return _TOKEN_RE.findall(text.lower())
 
 
-def normalize_term(term: str) -> str:
-    """Lowercase, tokenize, and re-join with single spaces."""
-    return " ".join(_tokenize(term))
-
-
-def _column_safe(concept: str) -> str:
-    """Concept ids become column-key segments, which cannot contain ':'."""
-    if ":" in concept:
-        safe = concept.replace(":", "_")
-        logger.warning("concept id %r contains ':'; renamed to %r for matrix columns", concept, safe)
-        return safe
-    return concept
+def _column_renames(concepts: Collection, source) -> dict:
+    """Each of ``concepts`` holding ':', which a column key cannot, -> its column id, with '_'.
+    Logs one warning for ``source``; refuses two ids that would share a column."""
+    renames = {c: c.replace(":", "_") for c in concepts if ":" in c}
+    if renames:
+        owner: dict[str, str] = {}  # column id -> concept id
+        for concept in concepts:
+            other = owner.setdefault(renames.get(concept, concept), concept)
+            if other != concept:
+                raise BaselineError(
+                    f"{source}: concept ids {other!r} and {concept!r} would share one matrix column"
+                )
+        first = next(iter(renames))
+        logger.warning(
+            "%s: %d concept id(s) contain ':'; renamed with '_' for matrix columns "
+            "(first: %r -> %r)", source, len(renames), first, renames[first],
+        )
+    return renames
 
 
 @dataclass
 class ConceptDictionary:
-    terms: dict  # normalized term -> concept id
+    """Terms, each the token tuple of its normalized text, and their concept ids."""
+
+    terms: dict  # token tuple -> concept id
     min_term_length: int
     # concept id -> note count from the most recent corpus scan
     document_frequency: dict = field(default_factory=dict)
-    # token tuple -> concept id, one entry per term; derived from ``terms`` when not given
-    term_tokens: dict = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.term_tokens is None:
-            self.term_tokens = {tuple(term.split()): c for term, c in self.terms.items()}
 
     @property
     def max_term_tokens(self) -> int:
-        return max(map(len, self.term_tokens), default=1)
+        return max(map(len, self.terms), default=1)
 
 
 def build_dictionary(
     term_file: str | Path, min_term_length: int = DEFAULT_MIN_TERM_LENGTH
 ) -> ConceptDictionary:
-    """Load a term,concept_id CSV, dropping terms of length <= min_term_length.
-
-    Duplicate normalized terms keep the first concept id with a warning.
-    """
-    terms: dict[str, str] = {}
-    term_tokens: dict[tuple, str] = {}
-    # field lists, as a dict per record would cost what the token tuples do;
-    # like such a dict, ``at`` gives a repeated column name its last position
-    records = read_csv(term_file, BaselineError, "term file", ("term", "concept_id"))
-    _, header = next(records)
-    at = {name: i for i, name in enumerate(header)}
-    term_at, concept_at = at["term"], at["concept_id"]
-    for lineno, fields in records:
-        if len(fields) < len(header):
-            fields += [""] * (len(header) - len(fields))  # a short record's missing fields
-        tokens = tuple(_tokenize(fields[term_at]))
-        term = " ".join(tokens)
-        concept = fields[concept_at].strip()
-        if not term or not concept:
+    """Load a term,concept_id CSV as a map from each term's token tuple to its concept id,
+    dropping terms of length <= min_term_length (tokens joined by single spaces); a
+    duplicate term keeps the first concept id with a warning."""
+    terms: dict[tuple, str] = {}
+    for lineno, row in read_csv_rows(term_file, BaselineError, "term file", ("term", "concept_id")):
+        tokens = tuple(_tokenize(row["term"] or ""))  # None: a short record's missing field
+        concept = (row["concept_id"] or "").strip()
+        if not tokens or not concept:
             logger.warning("%s:%d: skipping row with empty term or concept", term_file, lineno)
             continue
+        term = " ".join(tokens)
         if len(term) <= min_term_length:
             logger.debug("dropping term %r: length %d <= %d", term, len(term), min_term_length)
             continue
-        if term in terms:
+        if tokens in terms:
             logger.warning(
                 "%s:%d: duplicate term %r; keeping first concept %r",
-                term_file, lineno, term, terms[term],
+                term_file, lineno, term, terms[tokens],
             )
             continue
-        terms[term] = term_tokens[tokens] = _column_safe(concept)
+        terms[tokens] = concept
+    renames = _column_renames(terms.values(), term_file)
+    for tokens, concept in terms.items():
+        if concept in renames:
+            terms[tokens] = renames[concept]
     if not terms:
         logger.warning("term file %s produced an empty dictionary", term_file)
-    return ConceptDictionary(terms=terms, min_term_length=min_term_length, term_tokens=term_tokens)
+    return ConceptDictionary(terms=terms, min_term_length=min_term_length)
 
 
-def _concept_columns(concepts: list) -> list:
-    return [
-        FeatureColumn(index=i, list_id="dict", category="concepts", phenotype_id=c)
+def _concept_matrix(list_id, note_ids, cohorts, found, concepts) -> FeatureMatrix:
+    """A one-hot matrix: a column per concept of ``concepts``, sorted, and per note a row
+    that sets the columns of the concepts it ``found``; other found concepts are ignored."""
+    concepts = sorted(concepts)
+    column_of = {c: i for i, c in enumerate(concepts)}
+    rows = []
+    for hits in found:
+        row = bytearray(len(concepts))
+        for concept in column_of.keys() & hits:
+            row[column_of[concept]] = 1
+        rows.append(row)
+    columns = [
+        FeatureColumn(index=i, list_id=list_id, category="concepts", phenotype_id=c)
         for i, c in enumerate(concepts)
     ]
+    return FeatureMatrix(note_ids=note_ids, cohorts=cohorts, columns=columns, rows=rows)
 
 
 def _note_grams(tokens: list, max_n: int) -> Iterable:
@@ -119,7 +126,7 @@ def _note_grams(tokens: list, max_n: int) -> Iterable:
 
 
 def _note_concepts_exact(tokens: list, dictionary: ConceptDictionary, max_n: int) -> set:
-    found = set(map(dictionary.term_tokens.get, _note_grams(tokens, max_n)))
+    found = set(map(dictionary.terms.get, _note_grams(tokens, max_n)))
     found.discard(None)
     return found
 
@@ -175,7 +182,7 @@ class _JaccardIndex:
 
     def __init__(self, dictionary: ConceptDictionary, threshold: float):
         self.threshold = threshold
-        term_sets = [(frozenset(tokens), c) for tokens, c in dictionary.term_tokens.items()]
+        term_sets = [(frozenset(tokens), c) for tokens, c in dictionary.terms.items()]
         frequency = Counter(token for term_set, _ in term_sets for token in term_set)
         ordered = sorted(frequency, key=lambda token: (frequency[token], token))
         self.rank = _Rank((token, position) for position, token in enumerate(ordered))
@@ -245,7 +252,7 @@ def extract_dictionary_features(
 ) -> FeatureMatrix:
     """Scan token n-grams (n <= 5) per note and one-hot the matched concepts.
 
-    At threshold 1.0 an n-gram's token tuple is looked up in ``term_tokens``;
+    At threshold 1.0 an n-gram's token tuple is looked up in the dictionary's ``terms``;
     below 1.0 an n-gram matches a term when their token-set Jaccard similarity
     reaches the threshold, through one ``_JaccardIndex`` per call, which walks
     notes by start window. Concepts found in fewer than min_doc_freq notes are dropped.
@@ -274,22 +281,8 @@ def extract_dictionary_features(
     if not note_ids:
         raise BaselineError("dictionary extraction needs a non-empty note collection")
     dictionary.document_frequency = dict(sorted(frequency.items()))
-    surviving = sorted(c for c, df in frequency.items() if df >= min_doc_freq)
-    column_of = {c: i for i, c in enumerate(surviving)}
-    rows = []
-    for found in hits_per_note:
-        row = bytearray(len(surviving))
-        for concept in found:
-            col = column_of.get(concept)
-            if col is not None:
-                row[col] = 1
-        rows.append(row)
-    return FeatureMatrix(
-        note_ids=note_ids,
-        cohorts=cohorts,
-        columns=_concept_columns(surviving),
-        rows=rows,
-    )
+    surviving = (c for c, df in frequency.items() if df >= min_doc_freq)
+    return _concept_matrix("dict", note_ids, cohorts, hits_per_note, surviving)
 
 
 def ingest_ner_annotations(
@@ -328,28 +321,13 @@ def ingest_ner_annotations(
         parsed += 1
         if score < min_score:
             continue
-        note_concepts.setdefault(note_id, set()).add(_column_safe(concept))
+        note_concepts.setdefault(note_id, set()).add(concept)
     if parsed == 0 and malformed > 0:
         raise BaselineError(f"{file}: all {malformed} annotation lines are malformed")
-    ordered_concepts = sorted(set().union(*note_concepts.values()))
-    column_of = {c: i for i, c in enumerate(ordered_concepts)}
-    note_ids = list(note_concepts)
-    rows = []
-    for found in note_concepts.values():
-        row = bytearray(len(ordered_concepts))
-        for concept in found:
-            row[column_of[concept]] = 1
-        rows.append(row)
-    columns = [
-        FeatureColumn(index=i, list_id="ner", category="concepts", phenotype_id=c)
-        for i, c in enumerate(ordered_concepts)
-    ]
-    return FeatureMatrix(
-        note_ids=note_ids,
-        cohorts=[UNLABELED] * len(note_ids),
-        columns=columns,
-        rows=rows,
-    )
+    renames = _column_renames(sorted(set().union(*note_concepts.values())), file)
+    found = [{renames.get(c, c) for c in hits} for hits in note_concepts.values()]
+    cohorts = [UNLABELED] * len(found)
+    return _concept_matrix("ner", list(note_concepts), cohorts, found, set().union(*found))
 
 
 def attach_cohorts(matrix: FeatureMatrix, cohort_of: dict) -> FeatureMatrix:

@@ -627,12 +627,12 @@ def baseline_cmd(
             raise ConfigError("dictionary baseline needs --notes and --terms")
         notes = cohort_mod.read_notes(notes_path)
         if cohort_of:
+            _require_notes(cohort_of, {n.note_id for n in cohort_mod.read_notes(notes_path)})
             notes = (n for n in notes if n.note_id in cohort_of)
         dictionary = baselines_mod.build_dictionary(terms_path, min_term_length)
         matrix = baselines_mod.extract_dictionary_features(
             notes, dictionary, min_doc_freq=min_doc_freq, similarity_threshold=similarity_threshold
         )
-        _require_notes(cohort_of, set(matrix.note_ids))
         out_path = out / "dictionary_matrix.csv"
         ignored = ("annotations", "min_score")
     else:

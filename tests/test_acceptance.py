@@ -286,7 +286,7 @@ def test_criterion_09_baseline_filters(tmp_path):
         "term,concept_id\ntau,C-SHORT3\ngait,C-SHORT4\ncommon finding,C-COMMON\nrare finding,C-RARE\n"
     )
     dictionary = build_dictionary(terms)  # default length threshold 4
-    assert "tau" not in dictionary.terms and "gait" not in dictionary.terms
+    assert ("tau",) not in dictionary.terms and ("gait",) not in dictionary.terms
     assert set(dictionary.terms.values()) == {"C-COMMON", "C-RARE"}
 
     notes = []

@@ -15,7 +15,6 @@ from pheno_mine.baselines import (
     build_dictionary,
     extract_dictionary_features,
     ingest_ner_annotations,
-    normalize_term,
 )
 from pheno_mine.cohort import NoteRecord, UNLABELED
 from pheno_mine.errors import BaselineError, ParameterError
@@ -41,22 +40,20 @@ def write_terms(tmp_path, rows, name="terms.csv"):
     return path
 
 
+def by_tokens(terms: dict) -> dict:
+    """A dictionary's term map from the oracles' space-joined terms."""
+    return {tuple(term.split()): concept for term, concept in terms.items()}
+
+
 # ---------------------------------------------------------------------------
 # dictionary construction
-
-
-def test_normalize_term():
-    assert normalize_term("  Memory   LOSS ") == "memory loss"
-    assert normalize_term("Alzheimer's Disease") == "alzheimer's disease"
-    assert normalize_term("beta-amyloid 42") == "beta amyloid 42"
-    assert normalize_term("...") == ""
 
 
 def test_build_dictionary_drops_short_terms(tmp_path):
     path = write_terms(tmp_path, [("tau", "C1"), ("gait", "C2"), ("tremor", "C3")])
     dictionary = build_dictionary(path)
     # length <= 4 characters is dropped: 'tau' (3) and 'gait' (4) go
-    assert dictionary.terms == {"tremor": "C3"}
+    assert dictionary.terms == {("tremor",): "C3"}
 
 
 def test_build_dictionary_keeps_first_duplicate(tmp_path, caplog):
@@ -65,15 +62,39 @@ def test_build_dictionary_keeps_first_duplicate(tmp_path, caplog):
     )
     with caplog.at_level(logging.WARNING):
         dictionary = build_dictionary(path)
-    assert dictionary.terms["memory loss"] == "C1"
+    assert dictionary.terms["memory", "loss"] == "C1"
     assert any("duplicate term" in r.message for r in caplog.records)
 
 
 def test_build_dictionary_sanitizes_concept_ids(tmp_path, caplog):
-    path = write_terms(tmp_path, [("memory loss", "SNOMED:12345")])
+    rows = [("memory loss", "SNOMED:12345"), ("aphasia", "C2"), ("memory lapse", "SNOMED:12345")]
+    rows += [(f"finding {i:04d}", f"SNOMED:{i}") for i in range(5_000)]
     with caplog.at_level(logging.WARNING):
-        dictionary = build_dictionary(path)
-    assert dictionary.terms["memory loss"] == "SNOMED_12345"
+        dictionary = build_dictionary(write_terms(tmp_path, rows))
+    assert dictionary.terms["memory", "loss"] == dictionary.terms["memory", "lapse"]
+    assert dictionary.terms["memory", "loss"] == "SNOMED_12345"
+    assert dictionary.terms[("aphasia",)] == "C2"
+    assert dictionary.terms["finding", "4999"] == "SNOMED_4999"
+    # one warning for the file, with the count and the first renamed id
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{tmp_path / 'terms.csv'}: 5001 concept id(s) contain ':'; renamed with '_' for "
+        "matrix columns (first: 'SNOMED:12345' -> 'SNOMED_12345')"
+    ]
+
+
+@pytest.mark.parametrize(
+    "concepts, pair",
+    [
+        (["A:1", "A_1"], ("A:1", "A_1")),
+        (["A_1", "B", "A:1"], ("A_1", "A:1")),
+        (["X:_1", "X_:1"], ("X:_1", "X_:1")),
+    ],
+)
+def test_column_renames_refuse_two_ids_sharing_a_column(concepts, pair):
+    message = f"terms.csv: concept ids {pair[0]!r} and {pair[1]!r} would share one matrix column"
+    with pytest.raises(BaselineError) as raised:
+        baselines._column_renames(concepts, "terms.csv")
+    assert str(raised.value) == message
 
 
 def test_build_dictionary_requires_expected_columns(tmp_path):
@@ -97,12 +118,11 @@ def test_build_dictionary_reads_short_long_and_repeated_columns(tmp_path, caplog
     with caplog.at_level(logging.WARNING):
         dictionary = build_dictionary(path)
     # a short record's missing fields are empty; fields past the header are ignored
-    assert dictionary.terms == {"hypertension": "C2", "tremor of hands": "C4"}
-    assert dictionary.term_tokens == {("hypertension",): "C2", ("tremor", "of", "hands"): "C4"}
+    assert dictionary.terms == {("hypertension",): "C2", ("tremor", "of", "hands"): "C4"}
     assert sum("empty term or concept" in r.message for r in caplog.records) == 2
     # a repeated column name reads its last column
     path.write_text("term,concept_id,term\nignored words,C1,memory loss\n")
-    assert build_dictionary(path).terms == {"memory loss": "C1"}
+    assert build_dictionary(path).terms == {("memory", "loss"): "C1"}
 
 
 def test_build_dictionary_max_term_tokens(tmp_path):
@@ -215,7 +235,7 @@ def test_exact_matching_equals_token_boundary_oracle(tmp_path):
     for i, record in enumerate(notes):
         padded = f" {' '.join(record.text.split())} "
         for term, concept in dictionary.terms.items():
-            expected = 1 if f" {term} " in padded else 0
+            expected = 1 if f" {' '.join(term)} " in padded else 0
             j = concept_of.get(concept)
             got = int(matrix.data[i, j]) if j is not None else 0
             assert got == expected, (record.note_id, term)
@@ -253,7 +273,8 @@ run_notes = st.lists(note_tokens, min_size=1, max_size=4).flatmap(
 @settings(max_examples=400, deadline=None)
 @given(terms=term_dictionaries, notes=st.lists(note_tokens, max_size=4), threshold=thresholds)
 def test_jaccard_index_equals_all_pairs_oracle(terms, notes, threshold):
-    index = baselines._JaccardIndex(ConceptDictionary(terms=terms, min_term_length=0), threshold)
+    dictionary = ConceptDictionary(terms=by_tokens(terms), min_term_length=0)
+    index = baselines._JaccardIndex(dictionary, threshold)
     for tokens in notes:
         expected = note_concepts_jaccard_oracle(tokens, terms, baselines.MAX_NGRAM, threshold)
         assert index.note_concepts(tokens) == expected
@@ -272,7 +293,8 @@ class SizeRecordingDict(dict):
 @settings(max_examples=300, deadline=None)
 @given(terms=term_dictionaries, notes=run_notes, threshold=thresholds)
 def test_jaccard_window_walk_equals_all_pairs_oracle(terms, notes, threshold):
-    index = baselines._JaccardIndex(ConceptDictionary(terms=terms, min_term_length=0), threshold)
+    dictionary = ConceptDictionary(terms=by_tokens(terms), min_term_length=0)
+    index = baselines._JaccardIndex(dictionary, threshold)
     # the second pass meets every window from the memo
     for tokens in notes + notes:
         expected = note_concepts_jaccard_oracle(tokens, terms, baselines.MAX_NGRAM, threshold)
@@ -285,7 +307,8 @@ def test_jaccard_window_walk_equals_all_pairs_oracle(terms, notes, threshold):
 def test_jaccard_memo_never_exceeds_its_bound(bound, terms, notes, threshold):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(baselines, "GRAM_MEMO_LIMIT", bound)
-        index = baselines._JaccardIndex(ConceptDictionary(terms=terms, min_term_length=0), threshold)
+        dictionary = ConceptDictionary(terms=by_tokens(terms), min_term_length=0)
+        index = baselines._JaccardIndex(dictionary, threshold)
         index.memo = SizeRecordingDict()
         index.window_memo = SizeRecordingDict()
         # the second pass meets windows and grams the memos kept, evicted or never held
@@ -351,7 +374,7 @@ def test_jaccard_work_per_demo_run(monkeypatch):
     max_n=st.integers(1, baselines.MAX_NGRAM),
 )
 def test_exact_pass_equals_joined_window_oracle(terms, notes, max_n):
-    dictionary = ConceptDictionary(terms=terms, min_term_length=0)
+    dictionary = ConceptDictionary(terms=by_tokens(terms), min_term_length=0)
     for tokens in notes:
         expected = note_concepts_exact_oracle(tokens, terms, max_n)
         assert baselines._note_concepts_exact(tokens, dictionary, max_n) == expected
@@ -371,7 +394,7 @@ def test_jaccard_match_exactly_at_threshold_survives_rounding():
     # 3 / 187 * 187 > 3 in floats: a size filter or a minimum overlap computed
     # from t * s would drop this match; the gram's tokens rank last in the term
     term = " ".join(f"w{i:03d}" for i in range(187))
-    dictionary = ConceptDictionary(terms={term: "C1"}, min_term_length=0)
+    dictionary = ConceptDictionary(terms=by_tokens({term: "C1"}), min_term_length=0)
     at, above = 3 / 187, math.nextafter(3 / 187, 1.0)
     for gram in (["w000", "w001", "w002"], ["w184", "w185", "w186"]):
         assert baselines._JaccardIndex(dictionary, at).note_concepts(gram) == {"C1"}
@@ -557,6 +580,19 @@ def test_ner_min_score_must_be_in_unit_interval(tmp_path, min_score):
         ingest_ner_annotations(path, min_score=min_score)
 
 
+def test_ner_ingestion_renames_concept_ids_with_one_warning(tmp_path, caplog):
+    docs = [{"note_id": f"N{i}", "concept": f"SNOMED:{i % 3}", "score": 0.9} for i in range(6)]
+    path = write_annotations(tmp_path, docs + [{"note_id": "N0", "concept": "C9", "score": 0.9}])
+    with caplog.at_level(logging.WARNING):
+        matrix = ingest_ner_annotations(path)
+    assert [c.phenotype_id for c in matrix.columns] == ["C9", "SNOMED_0", "SNOMED_1", "SNOMED_2"]
+    assert matrix.data.tolist()[:2] == [[1, 1, 0, 0], [0, 0, 1, 0]]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: 3 concept id(s) contain ':'; renamed with '_' for matrix columns "
+        "(first: 'SNOMED:0' -> 'SNOMED_0')"
+    ]
+
+
 def test_ner_duplicate_annotations_collapse(tmp_path):
     path = write_annotations(
         tmp_path,
@@ -615,8 +651,8 @@ def test_bundled_demo_baseline_files():
     dictionary = build_dictionary(data_path("demo_terms.csv"))
     # 'tau' is dropped by the length filter; the duplicate hypertension row
     # keeps the first concept id
-    assert "tau" not in dictionary.terms
-    assert dictionary.terms["hypertension"] == "C0020538"
+    assert ("tau",) not in dictionary.terms
+    assert dictionary.terms[("hypertension",)] == "C0020538"
     matrix = extract_dictionary_features(notes, dictionary, min_doc_freq=1)
     assert len(matrix.note_ids) == 30
     ner = ingest_ner_annotations(data_path("demo_ner.jsonl"))

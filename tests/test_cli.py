@@ -1104,20 +1104,48 @@ def test_baseline_dictionary_refuses_manifest_notes_absent_from_notes(runner, tm
     manifest = tmp_path / "manifest.csv"
     with manifest.open("a", encoding="utf-8") as fh:
         fh.write("GHOST,PX,CN\n")
+    only_ghost = tmp_path / "only_ghost.csv"
+    only_ghost.write_text("note_id,patient_id,cohort\nGHOST,PX,CN\n")
+    # with no listed note in the notes file, the scan would find no note at all
+    for listed in (manifest, only_ghost):
+        out = tmp_path / f"out_{listed.stem}"
+        result = invoke(
+            runner,
+            "baseline",
+            "--method", "dictionary",
+            "--notes", NOTES,
+            "--terms", data_path("demo_terms.csv"),
+            "--manifest", listed,
+            "--min-doc-freq", 1,
+            "--out-dir", out,
+            expect=1,
+        )
+        assert result.stderr == (
+            "error: manifest references 1 note(s) absent from the notes file (first: 'GHOST')\n"
+        )
+        assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("method", ["dictionary", "ner"])
+def test_baseline_refuses_concept_ids_sharing_a_column(runner, tmp_path, method):
+    # 'A:1' is renamed to the column id 'A_1', which another concept already has
+    if method == "dictionary":
+        source = tmp_path / "terms.csv"
+        source.write_text("term,concept_id\nhypertension,A:1\nconfusion,A_1\n")
+        args = ["--notes", NOTES, "--terms", source, "--min-doc-freq", 1]
+    else:
+        source = tmp_path / "ner.jsonl"
+        source.write_text(
+            '{"note_id": "N1", "concept": "A:1", "score": 0.9}\n'
+            '{"note_id": "N2", "concept": "A_1", "score": 0.9}\n'
+        )
+        args = ["--annotations", source]
     out = tmp_path / "out"
     result = invoke(
-        runner,
-        "baseline",
-        "--method", "dictionary",
-        "--notes", NOTES,
-        "--terms", data_path("demo_terms.csv"),
-        "--manifest", manifest,
-        "--min-doc-freq", 1,
-        "--out-dir", out,
-        expect=1,
+        runner, "baseline", "--method", method, *args, "--out-dir", out, expect=1
     )
     assert result.stderr == (
-        "error: manifest references 1 note(s) absent from the notes file (first: 'GHOST')\n"
+        f"error: {source}: concept ids 'A:1' and 'A_1' would share one matrix column\n"
     )
     assert list(out.iterdir()) == []
 
