@@ -331,11 +331,14 @@ def ingest_ner_annotations(
 
 
 def attach_cohorts(matrix: FeatureMatrix, cohort_of: dict) -> FeatureMatrix:
-    """Fill cohort labels from a note_id -> cohort mapping (e.g. a manifest)."""
-    cohorts = [cohort_of.get(note_id, UNLABELED) for note_id in matrix.note_ids]
+    """The rows of the notes that a note_id -> cohort mapping (e.g. a manifest) labels,
+    with their labels; the other rows are dropped."""
+    keep = [i for i, note_id in enumerate(matrix.note_ids) if note_id in cohort_of]
+    if not keep:
+        raise BaselineError(f"the manifest lists none of the matrix's {matrix.shape[0]} notes")
     return FeatureMatrix(
-        note_ids=list(matrix.note_ids),
-        cohorts=cohorts,
+        note_ids=[matrix.note_ids[i] for i in keep],
+        cohorts=[cohort_of[matrix.note_ids[i]] for i in keep],
         columns=list(matrix.columns),
-        rows=list(matrix.rows),
+        rows=[matrix.rows[i] for i in keep],
     )

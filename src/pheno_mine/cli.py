@@ -275,7 +275,7 @@ def _run_manifest(notes_path, manifest_path, diagnoses_path, sample_per_cohort, 
         manifest = cohort_mod.load_manifest(manifest_path)
     elif diagnoses_path:
         diagnoses = cohort_mod.load_diagnoses(diagnoses_path)
-        manifest = cohort_mod.build_manifest(cohort_mod.label_notes(notes, diagnoses), seed=seed)
+        manifest = cohort_mod.build_manifest(cohort_mod.label_notes(notes, diagnoses))
     else:
         raise ConfigError("extract needs --manifest or --diagnoses to define cohorts")
     if sample_per_cohort:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_json
+from .cohort import UNLABELED
 from .errors import AnalysisError, ParameterError
 from .features import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL, FeatureMatrix
 
@@ -130,6 +131,8 @@ def kmeans_fit(
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise AnalysisError(f"feature array must be 2-dimensional, got shape {X.shape}")
+    if X.shape[1] == 0:
+        raise AnalysisError(f"feature array has no columns ({X.shape[0]} rows x 0)")
     if not np.isfinite(X).all():
         raise AnalysisError("feature array contains non-finite values")
     if k < 2:
@@ -312,7 +315,7 @@ def evaluate_clustering(
         if labels is None:
             raise ParameterError("raw feature arrays require explicit labels")
         truth = list(labels)
-    bad = [t for t in truth if t in (None, "", "UNLABELED")]
+    bad = [t for t in truth if t in (None, "", UNLABELED)]
     if bad:
         raise AnalysisError(
             f"{len(bad)} rows lack a cohort label; clustering truth undefined"

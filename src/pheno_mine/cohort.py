@@ -20,7 +20,7 @@ from .errors import CohortError
 
 logger = logging.getLogger(__name__)
 
-COHORTS = ("CN", "MCI", "ADRD")
+COHORTS = ("CN", "MCI", "ADRD")  # in rising severity
 UNLABELED = "UNLABELED"
 
 # Dementia diagnosis codes, normalized (dots stripped, uppercase).
@@ -78,7 +78,6 @@ class NoteRecord:
 
 
 def assign_cohort(
-    patient_id: str,
     diagnoses: "set[DiagnosisRecord] | list[DiagnosisRecord]",
     age: float | None,
     history_years: float | None,
@@ -111,7 +110,6 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class CohortManifest:
     entries: tuple[ManifestEntry, ...]
-    seed: int | None = None
 
     def __post_init__(self):
         for e in self.entries:
@@ -144,7 +142,6 @@ def label_notes(
     labeled = []
     for note in notes:
         cohort = assign_cohort(
-            note.patient_id,
             diagnoses.get(note.patient_id, []),
             note.age,
             note.history_years,
@@ -154,7 +151,7 @@ def label_notes(
     return labeled
 
 
-def build_manifest(notes: "list[NoteRecord]", seed: int | None = None) -> CohortManifest:
+def build_manifest(notes: "list[NoteRecord]") -> CohortManifest:
     """Keep labeled notes only; unlabeled notes are dropped with a warning."""
     dropped = sum(1 for n in notes if n.cohort not in COHORTS)
     if dropped:
@@ -162,7 +159,7 @@ def build_manifest(notes: "list[NoteRecord]", seed: int | None = None) -> Cohort
     entries = tuple(
         ManifestEntry(n.note_id, n.patient_id, n.cohort) for n in notes if n.cohort in COHORTS
     )
-    return CohortManifest(entries=entries, seed=seed)
+    return CohortManifest(entries=entries)
 
 
 def sample_cohort(
@@ -191,7 +188,7 @@ def sample_cohort(
     entries = tuple(
         e for i, e in enumerate(manifest.entries) if e.cohort != cohort or i in keep
     )
-    return CohortManifest(entries=entries, seed=seed)
+    return CohortManifest(entries=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .artifacts import atomic_file
 from .chunking import DEFAULT_CHUNK_BUDGET, Chunk, chunk_text
-from .cohort import CohortManifest, NoteRecord
+from .cohort import COHORTS, CohortManifest, NoteRecord
 from .errors import MatrixError
 from .features import FeatureMatrix
 from .gateway import DEFAULT_MAX_OUTPUT_TOKENS, DEFAULT_MODEL, LlmGateway
@@ -223,7 +223,7 @@ def aggregate_by_patient(matrix: FeatureMatrix, manifest: CohortManifest) -> Fea
     (ADRD over MCI over CN). Row order follows first appearance.
     """
     patient_of = manifest.patient_of()
-    severity = {"CN": 0, "MCI": 1, "ADRD": 2}
+    severity = {cohort: rank for rank, cohort in enumerate(COHORTS)}
     order: list[str] = []
     rows: dict[str, bytes] = {}
     cohorts: dict[str, str] = {}

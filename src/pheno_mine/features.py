@@ -84,11 +84,15 @@ class FeatureMatrix:
                 FeatureColumn(index=i, list_id=namespace, category=category, phenotype_id=pid)
             )
         note_ids, cohorts, rows = [], [], []
+        seen = set()
         for lineno, row in records:
             if len(row) != len(header):
                 raise MatrixError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
+            if row[0] in seen:
+                raise MatrixError(f"{path}:{lineno}: note id {row[0]!r} appears more than once")
+            seen.add(row[0])
             note_ids.append(row[0])
             cohorts.append(row[1])
             if not set(row[2:]) <= {"0", "1"}:

@@ -2,9 +2,10 @@
 
 Contingency rows are presence/absence of a phenotype category (a note is
 "present" when any phenotype in the category was extracted); columns are
-cohorts. Every table comes from per-category counts, transcribed in a fixture
-or counted in a feature matrix. The overall test uses the full 2x3 table,
-pairwise tests use 2x2 tables with the Yates continuity correction.
+the cohorts of ``cohort.COHORTS``. Every table comes from per-category counts,
+transcribed in a fixture or counted in a feature matrix. The overall test uses
+the full 2x3 table (df 2), pairwise tests use 2x2 tables (df 1) with the Yates
+continuity correction; p-values come from a closed-form survival function.
 """
 
 from __future__ import annotations
@@ -12,78 +13,36 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .artifacts import csv_artifact, read_csv_rows
+from .cohort import COHORTS
 from .errors import DegenerateTableError, ParameterError, StatsError
 from .features import FeatureMatrix
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_COHORTS = ("CN", "MCI", "ADRD")
-PAIRWISE_COMPARISONS = (
-    ("CN vs. MCI", ("CN", "MCI")),
-    ("CN vs. ADRD", ("CN", "ADRD")),
-    ("MCI vs. ADRD", ("MCI", "ADRD")),
-)
+PAIRWISE_COMPARISONS = tuple((f"{a} vs. {b}", (a, b)) for a, b in combinations(COHORTS, 2))
 COMPARISONS = ("Overall", *(name for name, _ in PAIRWISE_COMPARISONS))
 
 
 # ---------------------------------------------------------------------------
-# Chi-square survival function (upper tail), hand-built on the regularized
-# incomplete gamma function so the runtime has no heavyweight numerics
-# dependency; tests cross-check it against an independent integration oracle.
-
-
-def _lower_gamma_series(s: float, z: float) -> float:
-    """Regularized lower incomplete gamma P(s, z) via its power series.
-
-    Converges quickly for z < s + 1.
-    """
-    term = 1.0 / s
-    total = term
-    k = s
-    for _ in range(1000):
-        k += 1.0
-        term *= z / k
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total * math.exp(-z + s * math.log(z) - math.lgamma(s))
-
-
-def _upper_gamma_cf(s: float, z: float) -> float:
-    """Regularized upper incomplete gamma Q(s, z) via a continued fraction
-    (modified Lentz), stable for z >= s + 1."""
-    tiny = 1e-300
-    b = z + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return h * math.exp(-z + s * math.log(z) - math.lgamma(s))
+# Chi-square survival function (upper tail) in closed form, so the runtime has
+# no heavyweight numerics dependency. For an integer df the tail is a finite
+# sum (Abramowitz & Stegun 26.4.4-26.4.5); tests cross-check it against scipy
+# and an independent integration oracle.
 
 
 def chi2_survival(x: float, df: int) -> float:
     """P(X >= x) for a chi-square variable with df degrees of freedom.
 
-    Closed forms for df = 1 (erfc) and df = 2 (exp) keep the common cases
-    exact; other df go through the regularized incomplete gamma function.
+    With z = x/2, Q(df) = Q(df - 2) + z^(df/2 - 1) e^(-z) / Gamma(df/2), from
+    Q(1) = erfc(sqrt(z)) and Q(0) = 0. Each term is taken in log space, so no
+    factor overflows or underflows before it is added. df 1 and 2 come out
+    exactly as erfc(sqrt(x/2)) and exp(-x/2).
     """
     if df < 1 or int(df) != df:
         raise ParameterError(f"degrees of freedom must be a positive integer, got {df}")
@@ -91,15 +50,13 @@ def chi2_survival(x: float, df: int) -> float:
         raise ParameterError(f"chi-square statistic must be finite and >= 0, got {x}")
     if x == 0:
         return 1.0
-    if df == 2:
-        return math.exp(-x / 2.0)
-    if df == 1:
-        return math.erfc(math.sqrt(x / 2.0))
-    s = df / 2.0
     z = x / 2.0
-    if z < s + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_gamma_series(s, z)))
-    return min(1.0, max(0.0, _upper_gamma_cf(s, z)))
+    total = math.erfc(math.sqrt(z)) if df % 2 else 0.0
+    power = df / 2.0 - 1.0
+    while power >= 0.0:
+        total += math.exp(power * math.log(z) - z - math.lgamma(power + 1.0))
+        power -= 1.0
+    return min(1.0, total)
 
 
 def significance_stars(p: float) -> str:
@@ -302,34 +259,21 @@ class CategoryStats:
 
 
 def analyze_matrix(
-    matrix: FeatureMatrix,
-    yates: str = "auto",
-    granularity: str = "category",
-    cohorts: tuple = DEFAULT_COHORTS,
+    matrix: FeatureMatrix, yates: str = "auto", granularity: str = "category"
 ) -> "list[CategoryStats]":
     if not matrix.columns:
         raise StatsError("matrix has no phenotype column")
     present_cohorts = set(matrix.cohorts)
-    missing = [c for c in cohorts if c not in present_cohorts]
+    missing = [c for c in COHORTS if c not in present_cohorts]
     if missing:
         raise StatsError(f"matrix is missing cohort(s): {', '.join(missing)}")
-    return analyze_fixture(matrix_counts(matrix, granularity), yates, cohorts)
+    return analyze_fixture(matrix_counts(matrix, granularity), yates)
 
 
-def analyze_fixture(
-    counts: "list[CategoryCounts]",
-    yates: str = "auto",
-    cohorts: tuple = DEFAULT_COHORTS,
-) -> "list[CategoryStats]":
+def analyze_fixture(counts: "list[CategoryCounts]", yates: str = "auto") -> "list[CategoryStats]":
     """The overall and the pairwise tests of each category; a table with a zero
     margin is logged and reported as untestable."""
-    for cc in counts:
-        missing = [c for c in cohorts if c not in cc.totals]
-        if missing:
-            raise StatsError(
-                f"fixture category {cc.category!r} is missing cohort(s): {', '.join(missing)}"
-            )
-    comparisons = (("Overall", cohorts), *PAIRWISE_COMPARISONS)
+    comparisons = (("Overall", COHORTS), *PAIRWISE_COMPARISONS)
     # every table is built, and so checked, before any test runs
     tables = [(cc, {name: cc.contingency(pair) for name, pair in comparisons}) for cc in counts]
     rows = []

@@ -42,7 +42,7 @@ def demo_notes():
 @pytest.fixture(scope="session")
 def demo_manifest(demo_notes):
     diagnoses = load_diagnoses(data_path("demo_diagnoses.csv"))
-    return build_manifest(label_notes(demo_notes, diagnoses), seed=0)
+    return build_manifest(label_notes(demo_notes, diagnoses))
 
 
 @pytest.fixture(scope="session")

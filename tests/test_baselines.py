@@ -627,20 +627,25 @@ def test_empty_term_file_builds_empty_dictionary(tmp_path, caplog):
     assert any("empty dictionary" in r.getMessage() for r in caplog.records)
 
 
-def test_attach_cohorts_maps_known_and_defaults_unlabeled(tmp_path):
+def test_attach_cohorts_labels_listed_notes_and_drops_the_rest(tmp_path):
     path = write_annotations(
         tmp_path,
         [
             {"note_id": "N1", "concept": "C1", "score": 0.9},
             {"note_id": "N2", "concept": "C1", "score": 0.9},
+            {"note_id": "N3", "concept": "C2", "score": 0.9},
         ],
     )
     matrix = ingest_ner_annotations(path)
-    attached = attach_cohorts(matrix, {"N1": "ADRD"})
-    assert attached.cohorts == ["ADRD", UNLABELED]
+    attached = attach_cohorts(matrix, {"N3": "CN", "N1": "ADRD", "N9": "MCI"})
+    assert attached.note_ids == ["N1", "N3"]
+    assert attached.cohorts == ["ADRD", "CN"]
+    assert attached.rows == [matrix.rows[0], matrix.rows[2]]
+    assert attached.columns == matrix.columns
     # original is untouched
-    assert matrix.cohorts == [UNLABELED, UNLABELED]
-    assert attached.data is not matrix.data
+    assert matrix.cohorts == [UNLABELED] * 3
+    with pytest.raises(BaselineError, match="lists none of the matrix's 3 notes"):
+        attach_cohorts(matrix, {"N9": "MCI"})
 
 
 def test_bundled_demo_baseline_files():

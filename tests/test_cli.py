@@ -1033,6 +1033,18 @@ def test_cluster_default_settings(runner, extracted, tmp_path):
     assert (tmp_path / "clustering_report.txt").exists()
 
 
+def test_cluster_refuses_a_matrix_with_no_columns(runner, tmp_path):
+    invoke(runner, *COHORT, "--out-dir", tmp_path)
+    # no concept of the demo reaches the default --min-doc-freq of 50
+    invoke(runner, *DICTIONARY, "--manifest", tmp_path / "manifest.csv", "--out-dir", tmp_path)
+    out = tmp_path / "out"
+    result = invoke(
+        runner, "cluster", "--matrix", tmp_path / "dictionary_matrix.csv", "--out-dir", out, expect=1
+    )
+    assert result.stderr == "error: feature array has no columns (30 rows x 0)\n"
+    assert list(out.iterdir()) == []
+
+
 def test_cluster_rejects_malformed_setting(runner, extracted, tmp_path):
     result = runner.invoke(
         main,
@@ -1164,6 +1176,26 @@ def test_baseline_ner_attaches_cohorts(runner, tmp_path):
     lines = (tmp_path / "ner_matrix.csv").read_text().splitlines()
     body = [l for l in lines if l and not l.startswith("#") and not l.startswith("note_id")]
     assert all(l.split(",")[1] in ("CN", "MCI", "ADRD") for l in body)
+
+
+def test_baseline_ner_keeps_only_the_notes_of_a_sampled_manifest(runner, tmp_path):
+    invoke(runner, *COHORT, "--sample-per-cohort", 4, "--out-dir", tmp_path)
+    manifest = tmp_path / "manifest.csv"
+    listed = {l.split(",")[0] for l in manifest.read_text().splitlines()[2:]}
+    result = invoke(runner, *NER, "--manifest", manifest, "--out-dir", tmp_path / "ner")
+    assert "8 notes x 9 concepts" in result.output
+    lines = (tmp_path / "ner" / "ner_matrix.csv").read_text().splitlines()[2:]
+    assert {l.split(",")[0] for l in lines} <= listed
+    assert all(l.split(",")[1] in ("CN", "MCI", "ADRD") for l in lines)
+    # the same notes as the dictionary baseline keeps: every row has a cohort label
+    invoke(runner, "report", "--matrix", tmp_path / "ner" / "ner_matrix.csv",
+           "--out-dir", tmp_path / "report")
+    unknown = tmp_path / "unknown.csv"
+    unknown.write_text("note_id,patient_id,cohort\nGHOST,PX,CN\n")
+    out = tmp_path / "none"
+    result = invoke(runner, *NER, "--manifest", unknown, "--out-dir", out, expect=1)
+    assert result.stderr == "error: the manifest lists none of the matrix's 18 notes\n"
+    assert list(out.iterdir()) == []
 
 
 def test_baseline_memory_does_not_grow_with_note_text(runner, tmp_path):

@@ -29,7 +29,6 @@ def note(note_id="N1", patient="P1", age=70.0, years=5.0, meds=False):
 
 def cohort_of(note_record, diagnoses):
     return assign_cohort(
-        note_record.patient_id,
         diagnoses,
         note_record.age,
         note_record.history_years,
@@ -125,7 +124,7 @@ def test_label_notes_and_build_manifest_drop_unlabeled():
     diagnoses = {"P3": [dx("G30.9", patient="P3")]}
     labeled = label_notes(notes, diagnoses)
     assert [n.cohort for n in labeled] == ["CN", "UNLABELED", "ADRD"]
-    manifest = build_manifest(labeled, seed=1)
+    manifest = build_manifest(labeled)
     assert manifest.counts == {"CN": 1, "MCI": 0, "ADRD": 1}
     assert {e.note_id for e in manifest.entries} == {"N1", "N3"}
 
@@ -136,7 +135,7 @@ def test_manifest_rejects_duplicate_note_ids():
         ManifestEntry("N1", "P2", "MCI"),
     )
     with pytest.raises(CohortError, match="duplicate"):
-        CohortManifest(entries=entries, seed=0)
+        CohortManifest(entries=entries)
 
 
 def test_duplicates_of_a_large_manifest_are_named_sorted_first_five():
@@ -145,13 +144,13 @@ def test_duplicates_of_a_large_manifest_are_named_sorted_first_five():
     entries = tuple(ManifestEntry(i, "P1", "CN") for i in ids)
     expected = "['N000003', 'N000007', 'N000042', 'N050000', 'N070000']"
     with pytest.raises(CohortError) as info:
-        CohortManifest(entries=entries, seed=0)
+        CohortManifest(entries=entries)
     assert str(info.value) == f"duplicate note ids in manifest: {expected}"
 
 
 def test_sampling_is_deterministic_and_sized():
     entries = tuple(ManifestEntry(f"N{i}", f"P{i}", "CN") for i in range(20))
-    manifest = CohortManifest(entries=entries, seed=0)
+    manifest = CohortManifest(entries=entries)
     once = sample_cohort(manifest, "CN", 5, seed=42)
     again = sample_cohort(manifest, "CN", 5, seed=42)
     assert [e.note_id for e in once.entries] == [e.note_id for e in again.entries]
@@ -162,7 +161,7 @@ def test_sampling_is_deterministic_and_sized():
 
 def test_sampling_draws_union_grows():
     entries = tuple(ManifestEntry(f"N{i}", f"P{i}", "CN") for i in range(100))
-    manifest = CohortManifest(entries=entries, seed=0)
+    manifest = CohortManifest(entries=entries)
     one_draw = sample_cohort(manifest, "CN", 10, seed=7, draws=1)
     two_draws = sample_cohort(manifest, "CN", 10, seed=7, draws=2)
     ids_one = {e.note_id for e in one_draw.entries}
@@ -174,7 +173,7 @@ def test_sampling_draws_union_grows():
 
 def test_sampling_more_than_available_errors():
     entries = (ManifestEntry("N1", "P1", "MCI"),)
-    manifest = CohortManifest(entries=entries, seed=0)
+    manifest = CohortManifest(entries=entries)
     with pytest.raises(CohortError, match="only 1 available"):
         sample_cohort(manifest, "MCI", 5, seed=0)
 

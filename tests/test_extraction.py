@@ -469,7 +469,7 @@ def manifest_for(notes, cohorts):
     entries = tuple(
         ManifestEntry(n.note_id, n.patient_id, c) for n, c in zip(notes, cohorts)
     )
-    return CohortManifest(entries=entries, seed=0)
+    return CohortManifest(entries=entries)
 
 
 def test_build_feature_matrix_rows_follow_manifest(combined, mock_gateway):

@@ -163,7 +163,7 @@ _FIELD = st.text(alphabet='#,"\n\r a1', max_size=6)
 
 @settings(max_examples=300, deadline=None)
 @given(
-    rows=st.lists(st.tuples(_FIELD, _FIELD), max_size=6),
+    rows=st.lists(st.tuples(_FIELD, _FIELD), max_size=6, unique_by=lambda r: r[0]),
     categories=st.lists(st.text(alphabet='#,"\n\r :a1', min_size=1, max_size=6), max_size=3),
     provenance=st.none() | st.fixed_dictionaries({"seed": st.integers(0, 9), "mode": _FIELD}),
     data=st.data(),
@@ -226,6 +226,13 @@ def test_from_csv_rejects_repeated_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("note_id,cohort,ns:cat:p,ns:cat:q,ns:cat:p\nN1,CN,1,0,1\n", encoding="utf-8")
     with pytest.raises(MatrixError, match="'ns:cat:p' appears more than once"):
+        FeatureMatrix.from_csv(path)
+
+
+def test_from_csv_rejects_repeated_note_id(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("note_id,cohort,ns:cat:p\nN1,CN,1\nN2,MCI,0\nN1,CN,1\n", encoding="utf-8")
+    with pytest.raises(MatrixError, match=r"bad.csv:4: note id 'N1' appears more than once"):
         FeatureMatrix.from_csv(path)
 
 

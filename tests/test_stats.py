@@ -38,15 +38,20 @@ def test_sf_closed_form_df2():
 
 def test_sf_closed_form_df1():
     for x in (0.0, 0.1, 1.0, 3.8415, 10.0, 50.0):
-        assert chi2_survival(x, 1) == pytest.approx(
-            math.erfc(math.sqrt(x / 2.0)), abs=0.0, rel=1e-15
-        )
+        assert chi2_survival(x, 1) == math.erfc(math.sqrt(x / 2.0))
 
 
 def test_sf_against_scipy_grid():
     xs = [0.0, 1e-6, 0.01, 0.5, 1.0, 2.5, 5.0, 9.2103, 15.0, 25.0, 40.0, 50.0]
     for df in range(1, 11):
         for x in xs:
+            assert chi2_survival(x, df) == pytest.approx(
+                scipy_stats.chi2.sf(x, df), abs=1e-12
+            ), (df, x)
+    # large df, where the tail is a sum of df/2 terms: around the mode and far out
+    for df in [*range(11, 41), 50, 99, 100, 255, 256, 999, 1000]:
+        spread = 3.0 * math.sqrt(2.0 * df)
+        for x in (1e-6, 0.5, 50.0, 300.0, 1500.0, df / 2.0, df, df + spread, 2.0 * df):
             assert chi2_survival(x, df) == pytest.approx(
                 scipy_stats.chi2.sf(x, df), abs=1e-12
             ), (df, x)
