@@ -11,7 +11,7 @@ import logging
 import re
 from collections import Counter
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 
@@ -332,13 +332,19 @@ def ingest_ner_annotations(
 
 def attach_cohorts(matrix: FeatureMatrix, cohort_of: dict) -> FeatureMatrix:
     """The rows of the notes that a note_id -> cohort mapping (e.g. a manifest) labels,
-    with their labels; the other rows are dropped."""
+    with their labels; the other rows are dropped, and so are the columns that no kept
+    row sets, as the dictionary baseline writes no concept that no note has."""
     keep = [i for i, note_id in enumerate(matrix.note_ids) if note_id in cohort_of]
     if not keep:
         raise BaselineError(f"the manifest lists none of the matrix's {matrix.shape[0]} notes")
+    rows = [matrix.rows[i] for i in keep]
+    seen = 0  # cells are 0 or 1, so OR-ing the rows as integers marks each column in use
+    for row in rows:
+        seen |= int.from_bytes(row, "big")
+    used = [j for j, cell in enumerate(seen.to_bytes(len(matrix.columns), "big")) if cell]
     return FeatureMatrix(
         note_ids=[matrix.note_ids[i] for i in keep],
         cohorts=[cohort_of[matrix.note_ids[i]] for i in keep],
-        columns=list(matrix.columns),
-        rows=[matrix.rows[i] for i in keep],
+        columns=[replace(matrix.columns[j], index=n) for n, j in enumerate(used)],
+        rows=[bytes(map(row.__getitem__, used)) for row in rows],
     )

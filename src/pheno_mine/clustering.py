@@ -42,8 +42,8 @@ class KMeansModel:
     restart_index: int
 
 
-def _sq_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    x2 = (X * X).sum(axis=1)[:, None]
+def _sq_distances(X: np.ndarray, x2: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared row-to-centroid distances; ``x2`` is the rows' squared norms, as a column."""
     c2 = (centroids * centroids).sum(axis=1)[None, :]
     return np.maximum(x2 + c2 - 2.0 * (X @ centroids.T), 0.0)
 
@@ -91,13 +91,13 @@ def _repair_empty_clusters(
 
 
 def _lloyd_run(
-    X: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float
+    X: np.ndarray, x2: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float
 ) -> tuple:
     history: list[float] = []
     assignments = np.zeros(len(X), dtype=int)
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        d2 = _sq_distances(X, centroids)
+        d2 = _sq_distances(X, x2, centroids)
         assignments = d2.argmin(axis=1)
         _repair_empty_clusters(X, centroids, assignments, d2)
         inertia = float(d2[np.arange(len(X)), assignments].sum())
@@ -145,12 +145,13 @@ def kmeans_fit(
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     if not 0 <= tol < math.inf:
         raise ParameterError(f"tol must be a finite number >= 0, got {tol}")
+    x2 = (X * X).sum(axis=1)[:, None]
     best: KMeansModel | None = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         init = _kmeans_pp_init(X, k, rng)
         centroids, assignments, inertia, iterations, history = _lloyd_run(
-            X, init, max_iter, tol
+            X, x2, init, max_iter, tol
         )
         if best is None or inertia < best.inertia:
             best = KMeansModel(

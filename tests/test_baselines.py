@@ -644,6 +644,10 @@ def test_attach_cohorts_labels_listed_notes_and_drops_the_rest(tmp_path):
     assert attached.columns == matrix.columns
     # original is untouched
     assert matrix.cohorts == [UNLABELED] * 3
+    # a column that no kept note sets is dropped, and the columns after it renumbered
+    attached = attach_cohorts(matrix, {"N3": "MCI"})
+    assert [(c.index, c.phenotype_id) for c in attached.columns] == [(0, "C2")]
+    assert attached.rows == [b"\x01"]
     with pytest.raises(BaselineError, match="lists none of the matrix's 3 notes"):
         attach_cohorts(matrix, {"N9": "MCI"})
 

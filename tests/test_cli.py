@@ -880,18 +880,23 @@ ANALYTICS = (
 )
 
 
-def loaded_after(args: list, modules) -> list:
-    """Which of ``modules`` a fresh interpreter has loaded after running the CLI on ``args``."""
-    code = (
-        "import json, sys; from pheno_mine.cli import main\n"
-        f"main({[str(a) for a in args]!r}, standalone_mode=False)\n"
-        f"print(json.dumps(sorted(set({list(modules)!r}) & set(sys.modules))))"
-    )
+def after_cli(args: list, expression: str, environ=os.environ):
+    """The JSON value of ``expression`` in a fresh interpreter, started with ``environ``,
+    that imported the CLI and ran it on ``args``, if any."""
+    code = "import json, os, sys; from pheno_mine.cli import main\n"
+    if args:
+        code += f"main({[str(a) for a in args]!r}, standalone_mode=False)\n"
+    code += f"print(json.dumps({expression}))"
     path = [str(Path(pheno_mine.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = dict(environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(args: list, modules) -> list:
+    """Which of ``modules`` a fresh interpreter has loaded after running the CLI on ``args``."""
+    return after_cli(args, f"sorted(set({list(modules)!r}) & set(sys.modules))")
 
 
 def test_extract_without_a_cache_never_loads_sqlite3(tmp_path):
@@ -917,6 +922,32 @@ def test_commands_other_than_analytics_never_load_numpy(tmp_path, command, artif
 def test_analytics_commands_load_numpy(extracted, tmp_path):
     args = ["pca", "--matrix", extracted, "--out-dir", tmp_path]
     assert loaded_after(args, ANALYTICS) == ["numpy", "pheno_mine.figures", "pheno_mine.pca"]
+
+
+def blas_environ(**variables) -> dict:
+    """This environment without any BLAS thread count (an in-process CLI run may have set
+    one here), plus ``variables``."""
+    environ = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    return {**environ, **variables}
+
+
+def test_analytics_run_blas_on_one_thread_by_default(extracted, tmp_path):
+    args = ["pca", "--matrix", extracted, "--out-dir", tmp_path]
+    tasks = "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None"
+    omp, threads = after_cli(args, f"[os.environ.get('OMP_NUM_THREADS'), {tasks}]", blas_environ())
+    assert omp == "1"
+    if threads is not None:
+        assert threads == 1  # no BLAS worker thread beside the main one
+
+
+def test_analytics_keep_a_blas_thread_count_the_caller_set(extracted, tmp_path):
+    args = ["pca", "--matrix", extracted, "--out-dir", tmp_path]
+    expression = "os.environ.get('OMP_NUM_THREADS')"
+    assert after_cli(args, expression, blas_environ(OMP_NUM_THREADS="2")) == "2"
+
+
+def test_importing_the_cli_sets_no_blas_thread_count():
+    assert after_cli([], "os.environ.get('OMP_NUM_THREADS')", blas_environ()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1138,6 +1169,18 @@ def test_baseline_dictionary_refuses_manifest_notes_absent_from_notes(runner, tm
         assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command", [[*DICTIONARY, "--min-doc-freq", 1], NER], ids=["dictionary", "ner"]
+)
+def test_baseline_refuses_a_manifest_that_lists_no_notes(runner, tmp_path, command):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("note_id,patient_id,cohort\n")
+    out = tmp_path / "out"
+    result = invoke(runner, *command, "--manifest", empty, "--out-dir", out, expect=1)
+    assert result.stderr == f"error: {empty}: the manifest lists no notes\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("method", ["dictionary", "ner"])
 def test_baseline_refuses_concept_ids_sharing_a_column(runner, tmp_path, method):
     # 'A:1' is renamed to the column id 'A_1', which another concept already has
@@ -1183,8 +1226,10 @@ def test_baseline_ner_keeps_only_the_notes_of_a_sampled_manifest(runner, tmp_pat
     manifest = tmp_path / "manifest.csv"
     listed = {l.split(",")[0] for l in manifest.read_text().splitlines()[2:]}
     result = invoke(runner, *NER, "--manifest", manifest, "--out-dir", tmp_path / "ner")
-    assert "8 notes x 9 concepts" in result.output
-    lines = (tmp_path / "ner" / "ner_matrix.csv").read_text().splitlines()[2:]
+    # C1262477 is annotated only on notes the sample left out, so its column goes too
+    assert "8 notes x 8 concepts" in result.output
+    header, *lines = (tmp_path / "ner" / "ner_matrix.csv").read_text().splitlines()[1:]
+    assert "C1262477" not in header
     assert {l.split(",")[0] for l in lines} <= listed
     assert all(l.split(",")[1] in ("CN", "MCI", "ADRD") for l in lines)
     # the same notes as the dictionary baseline keeps: every row has a cohort label

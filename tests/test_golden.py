@@ -26,9 +26,19 @@ SCRIPT = (
     ["stats", "--matrix", MATRIX, "--out-dir", "stats_category"],
     ["stats", "--matrix", MATRIX, "--granularity", "phenotype", "--out-dir", "stats_phenotype"],
     ["stats", "--matrix", MATRIX, "--yates", "on", "--out-dir", "stats_yates_on"],
+    ["cluster", "--matrix", MATRIX, "--out-dir", "cluster"],
+    ["pca", "--matrix", MATRIX, "--out-dir", "pca"],
     ["report", "--matrix", MATRIX, "--out-dir", "report"],
 )
-PINNED = ("stats_report.csv", "stats_report.txt")
+PINNED = (
+    "stats_report.csv",
+    "stats_report.txt",
+    "clustering_report.json",
+    "clustering_report.txt",
+    "pca_scatter.csv",
+    "pca_scatter.svg",
+    "summary.txt",
+)
 
 
 def demo_digests(temp_dir=None) -> dict:
