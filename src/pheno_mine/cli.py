@@ -627,8 +627,6 @@ def baseline_cmd(
     """Dictionary matching or NER-ingestion baseline feature matrices."""
     out = artifact_dir(out_dir)
     cohort_of = cohort_mod.load_manifest(manifest_path).cohort_of() if manifest_path else None
-    if manifest_path and not cohort_of:
-        raise ConfigError(f"{manifest_path}: the manifest lists no notes")
     if method == "dictionary":
         if not notes_path or not terms_path:
             raise ConfigError("dictionary baseline needs --notes and --terms")

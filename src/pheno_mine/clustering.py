@@ -93,20 +93,18 @@ def _repair_empty_clusters(
 def _lloyd_run(
     X: np.ndarray, x2: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float
 ) -> tuple:
+    """Lloyd from ``centroids``. A centroid is its cluster's sum over its size; one k x rows
+    one-hot product with ``X`` gives every sum, exact for integer rows. An empty cluster
+    keeps its centroid."""
     history: list[float] = []
-    assignments = np.zeros(len(X), dtype=int)
-    iteration = 0
     for iteration in range(1, max_iter + 1):
         d2 = _sq_distances(X, x2, centroids)
         assignments = d2.argmin(axis=1)
         _repair_empty_clusters(X, centroids, assignments, d2)
-        inertia = float(d2[np.arange(len(X)), assignments].sum())
-        history.append(inertia)
-        new_centroids = centroids.copy()
-        for c in range(centroids.shape[0]):
-            members = X[assignments == c]
-            if len(members):
-                new_centroids[c] = members.mean(axis=0)
+        history.append(float(d2[np.arange(len(X)), assignments].sum()))
+        onehot = (assignments == np.arange(len(centroids))[:, None]).astype(float)
+        sizes = onehot.sum(axis=1, keepdims=True)
+        new_centroids = np.divide(onehot @ X, sizes, out=centroids.copy(), where=sizes > 0)
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         if shift < tol or iteration == max_iter:
             break
@@ -171,44 +169,33 @@ def kmeans_fit(
 # External validation metrics
 
 
-def _paired_labels(labels_true, labels_pred, min_length: int = 1) -> tuple:
-    a = list(labels_true)
-    b = list(labels_pred)
+def _count_labels(labels_true, labels_pred, min_length: int) -> tuple:
+    """n and the Counters of (true, pred) pairs, of true labels and of predicted labels."""
+    a, b = list(labels_true), list(labels_pred)
     if len(a) != len(b):
-        raise ParameterError(
-            f"label sequences differ in length: {len(a)} vs {len(b)}"
-        )
+        raise ParameterError(f"label sequences differ in length: {len(a)} vs {len(b)}")
     if len(a) < min_length:
         raise ParameterError(f"need at least {min_length} labels, got {len(a)}")
-    return a, b
+    return len(a), Counter(zip(a, b)), Counter(a), Counter(b)
 
 
-def _comb2(n: int) -> int:
-    return n * (n - 1) // 2
-
-
-def _canonical(labels: list) -> tuple:
-    ids: dict = {}
-    return tuple(ids.setdefault(lab, len(ids)) for lab in labels)
+def _same_pairs(counts: Counter) -> int:
+    """The number of item pairs that share a key: the sum of C(count, 2)."""
+    return sum(c * (c - 1) // 2 for c in counts.values())
 
 
 def adjusted_rand_index(labels_true, labels_pred) -> float:
     """Rand index adjusted for chance, via the pair-counting formula."""
-    a, b = _paired_labels(labels_true, labels_pred, min_length=2)
-    n = len(a)
-    joint = Counter(zip(a, b))
-    sum_joint = sum(_comb2(v) for v in joint.values())
-    sum_a = sum(_comb2(v) for v in Counter(a).values())
-    sum_b = sum(_comb2(v) for v in Counter(b).values())
-    total_pairs = _comb2(n)
-    expected = sum_a * sum_b / total_pairs
-    max_index = (sum_a + sum_b) / 2.0
-    denominator = max_index - expected
+    n, joint, counts_true, counts_pred = _count_labels(labels_true, labels_pred, min_length=2)
+    sum_true = _same_pairs(counts_true)
+    sum_pred = _same_pairs(counts_pred)
+    expected = sum_true * sum_pred / (n * (n - 1) // 2)
+    denominator = (sum_true + sum_pred) / 2.0 - expected
     if denominator == 0.0:
         # Both partitions trivial in the same way (all-singletons or one
         # cluster): the partitions coincide.
         return 1.0
-    return (sum_joint - expected) / denominator
+    return (_same_pairs(joint) - expected) / denominator
 
 
 def normalized_mutual_information(labels_true, labels_pred) -> float:
@@ -217,35 +204,30 @@ def normalized_mutual_information(labels_true, labels_pred) -> float:
     Identical partitions score exactly 1.0; if either partition is a single
     cluster while the partitions differ, the score is 0.0.
     """
-    a, b = _paired_labels(labels_true, labels_pred, min_length=1)
-    if _canonical(a) == _canonical(b):
+    n, joint, counts_true, counts_pred = _count_labels(labels_true, labels_pred, min_length=1)
+    if len(joint) == len(counts_true) == len(counts_pred):
+        # the labels pair one-to-one: the partitions are identical
         return 1.0
-    n = len(a)
-    counts_a = Counter(a)
-    counts_b = Counter(b)
-    h_u = -sum((c / n) * math.log(c / n) for c in counts_a.values())
-    h_v = -sum((c / n) * math.log(c / n) for c in counts_b.values())
+    h_u = -sum((c / n) * math.log(c / n) for c in counts_true.values())
+    h_v = -sum((c / n) * math.log(c / n) for c in counts_pred.values())
     if h_u == 0.0 or h_v == 0.0:
         return 0.0
-    joint = Counter(zip(a, b))
     mi = 0.0
     for (u, v), c in joint.items():
         p_uv = c / n
-        mi += p_uv * math.log(p_uv / ((counts_a[u] / n) * (counts_b[v] / n)))
+        mi += p_uv * math.log(p_uv / ((counts_true[u] / n) * (counts_pred[v] / n)))
     nmi = mi / ((h_u + h_v) / 2.0)
     return min(1.0, max(0.0, nmi))
 
 
 def fowlkes_mallows_index(labels_true, labels_pred) -> float:
     """TP / sqrt((TP+FP)(TP+FN)) over same-cluster pairs; 0 on zero denominator."""
-    a, b = _paired_labels(labels_true, labels_pred, min_length=1)
-    joint = Counter(zip(a, b))
-    tp = sum(_comb2(v) for v in joint.values())
-    same_true = sum(_comb2(v) for v in Counter(a).values())
-    same_pred = sum(_comb2(v) for v in Counter(b).values())
+    _, joint, counts_true, counts_pred = _count_labels(labels_true, labels_pred, min_length=1)
+    same_true = _same_pairs(counts_true)
+    same_pred = _same_pairs(counts_pred)
     if same_true == 0 or same_pred == 0:
         return 0.0
-    return tp / math.sqrt(same_true * same_pred)
+    return _same_pairs(joint) / math.sqrt(same_true * same_pred)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +292,9 @@ def evaluate_clustering(
     `features` is a FeatureMatrix (labels from its cohort column) or a raw
     2-D array with `labels` supplied explicitly.
     """
-    if isinstance(features, FeatureMatrix):
-        truth = list(features.cohorts) if labels is None else list(labels)
-    else:
-        if labels is None:
-            raise ParameterError("raw feature arrays require explicit labels")
-        truth = list(labels)
+    if labels is None and not isinstance(features, FeatureMatrix):
+        raise ParameterError("raw feature arrays require explicit labels")
+    truth = list(features.cohorts if labels is None else labels)
     bad = [t for t in truth if t in (None, "", UNLABELED)]
     if bad:
         raise AnalysisError(

@@ -295,4 +295,6 @@ def load_manifest(path: str | Path) -> CohortManifest:
         ManifestEntry(row["note_id"], row["patient_id"], row["cohort"])
         for _, row in read_csv_rows(path, CohortError, "manifest", columns)
     )
+    if not entries:
+        raise CohortError(f"{path}: the manifest lists no notes")
     return CohortManifest(entries=entries)

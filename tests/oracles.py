@@ -4,10 +4,10 @@ Everything here is deliberately written via a different route than the
 library code: pair-by-pair brute force for the clustering indices,
 numerical integration for the chi-square survival function, a loop over
 notes for the per-category counts of a matrix, SVD for PCA,
-exhaustive assignment enumeration for k-means, every n-gram against every
-term for dictionary matching, with each exact window joined into a string,
-and one string of header and prompt for the response-cache key. Slow and
-simple wins.
+exhaustive assignment enumeration for k-means, a per-cluster mean for
+Lloyd's centroid update, every n-gram against every term for dictionary
+matching, with each exact window joined into a string, and one string of
+header and prompt for the response-cache key. Slow and simple wins.
 """
 
 import hashlib
@@ -203,6 +203,34 @@ def kmeans_global_optimum(X: np.ndarray, k: int) -> float:
         if inertia < best:
             best = inertia
     return best
+
+
+def lloyd_reference(
+    X: np.ndarray, x2: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float
+) -> tuple:
+    """Lloyd with each new centroid the mean of its members, cluster by cluster.
+
+    Same assignment step and empty-cluster repair as the package; returns
+    (centroids, assignments, inertia, iterations, history) like ``_lloyd_run``.
+    """
+    from pheno_mine.clustering import _repair_empty_clusters, _sq_distances
+
+    history = []
+    for iteration in range(1, max_iter + 1):
+        d2 = _sq_distances(X, x2, centroids)
+        assignments = d2.argmin(axis=1)
+        _repair_empty_clusters(X, centroids, assignments, d2)
+        history.append(float(d2[np.arange(len(X)), assignments].sum()))
+        new_centroids = centroids.copy()
+        for c in range(centroids.shape[0]):
+            members = X[assignments == c]
+            if len(members):
+                new_centroids[c] = members.mean(axis=0)
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        if shift < tol or iteration == max_iter:
+            break
+        centroids = new_centroids
+    return centroids, assignments, history[-1], iteration, history
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ import pheno_mine
 from pheno_mine.artifacts import ResponseStore
 from pheno_mine import cohort as cohort_mod
 from pheno_mine.cli import UNHASHED, _config_key, data_path, main
+from pheno_mine.cohort import COHORTS
+from pheno_mine.features import FeatureMatrix
 from pheno_mine.gateway import MockBackend
-from pheno_mine.schema import builtin_list, to_document
+from pheno_mine.schema import builtin_list, feature_index, to_document
 
 NOTES = str(data_path("demo_notes.jsonl"))
 DIAGNOSES = str(data_path("demo_diagnoses.csv"))
@@ -950,6 +952,28 @@ def test_importing_the_cli_sets_no_blas_thread_count():
     assert after_cli([], "os.environ.get('OMP_NUM_THREADS')", blas_environ()) is None
 
 
+@pytest.mark.parametrize("source", ["demo", "generated"])
+def test_cluster_artifacts_do_not_depend_on_the_blas_thread_count(extracted, tmp_path, source):
+    # 37 columns, the demo's and the bench's width; a wider matrix is not covered
+    matrix = extracted
+    if source == "generated":
+        rng = random.Random(31)
+        matrix = tmp_path / "generated.csv"
+        FeatureMatrix(
+            note_ids=[f"N{i:04d}" for i in range(1000)],
+            cohorts=[COHORTS[i % 3] for i in range(1000)],
+            columns=feature_index(builtin_list("combined")),
+            rows=[bytes(rng.random() < 0.3 for _ in range(37)) for _ in range(1000)],
+        ).to_csv(matrix)
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        after_cli(["cluster", "--matrix", matrix, "--out-dir", out], "None",
+                  blas_environ(OMP_NUM_THREADS=threads))
+        artifacts.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert artifacts[0] == artifacts[1]
+
+
 # ---------------------------------------------------------------------------
 # stats / cluster / pca / report
 
@@ -1170,7 +1194,9 @@ def test_baseline_dictionary_refuses_manifest_notes_absent_from_notes(runner, tm
 
 
 @pytest.mark.parametrize(
-    "command", [[*DICTIONARY, "--min-doc-freq", 1], NER], ids=["dictionary", "ner"]
+    "command",
+    [[*DICTIONARY, "--min-doc-freq", 1], NER, ["extract", "--notes", NOTES]],
+    ids=["dictionary", "ner", "extract"],
 )
 def test_baseline_refuses_a_manifest_that_lists_no_notes(runner, tmp_path, command):
     empty = tmp_path / "empty.csv"

@@ -15,10 +15,13 @@ from oracles import (
     ari_oracle,
     fmi_oracle,
     kmeans_global_optimum,
+    lloyd_reference,
     nmi_oracle,
 )
 from pheno_mine.clustering import (
     ClusteringReport,
+    _kmeans_pp_init,
+    _lloyd_run,
     adjusted_rand_index,
     collapse_labels,
     evaluate_clustering,
@@ -119,6 +122,37 @@ def test_kmeans_duplicate_rows_force_empty_cluster_repair():
     sizes = np.bincount(model.assignments, minlength=3)
     assert (sizes >= 1).all()
     assert model.inertia == pytest.approx(0.0, abs=1e-12)
+
+
+@st.composite
+def binary_matrices(draw):
+    """A 0/1 matrix whose rows repeat a few distinct rows, and a k up to its row count."""
+    cols = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, 1), min_size=cols, max_size=cols)
+    distinct = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=40))
+    X = np.array([distinct[i] for i in picks], dtype=float)
+    return X, draw(st.integers(2, min(5, len(X))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=binary_matrices(),
+    seed=st.integers(0, 2**16),
+    max_iter=st.integers(1, 30),
+    tol=st.sampled_from([0.0, 1e-4, 0.5]),
+)
+def test_lloyd_matches_the_per_cluster_mean_reference_bit_for_bit(case, seed, max_iter, tol):
+    # cluster sums of 0/1 rows are exact integers, so sum / size is the float
+    # that members.mean(axis=0) gives; few distinct rows force empty-cluster repairs
+    X, k = case
+    x2 = (X * X).sum(axis=1)[:, None]
+    init = _kmeans_pp_init(X, k, np.random.default_rng(seed))
+    got = _lloyd_run(X, x2, init.copy(), max_iter, tol)
+    want = lloyd_reference(X, x2, init.copy(), max_iter, tol)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert got[2:] == want[2:]
 
 
 def test_kmeans_accepts_feature_matrix_rows():

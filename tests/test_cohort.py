@@ -187,5 +187,12 @@ def test_manifest_roundtrip(tmp_path, demo_manifest):
     assert loaded.cohort_of() == demo_manifest.cohort_of()
 
 
+def test_load_manifest_refuses_a_manifest_that_lists_no_notes(tmp_path):
+    path = tmp_path / "manifest.csv"
+    write_manifest(CohortManifest(entries=()), path, {"config_hash": "abc", "seed": 0})
+    with pytest.raises(CohortError, match="the manifest lists no notes"):
+        load_manifest(path)
+
+
 def test_demo_cohorts_balanced(demo_manifest):
     assert demo_manifest.counts == {"CN": 10, "MCI": 10, "ADRD": 10}

@@ -190,6 +190,7 @@ def test_matrix_csv_roundtrip_keeps_every_row(rows, categories, provenance, data
 @given(
     entries=st.lists(
         st.builds(ManifestEntry, _FIELD, _FIELD, st.sampled_from(COHORTS)),
+        min_size=1,
         max_size=6,
         unique_by=lambda e: e.note_id,
     ),
